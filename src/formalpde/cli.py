@@ -3,7 +3,8 @@
 Reports are plain text by default or deterministic JSON (`--report json`):
 for a fixed input and seed the serialized report is byte-identical across
 runs.  Exit codes: 0 success, 1 analysis inconclusive within the window,
-2 corpus mismatch, 3 parse error.
+2 corpus mismatch, 3 input error (unreadable file, parse error or invalid
+option value), reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -192,23 +193,26 @@ def cmd_involution(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    if args.file:
-        text, doc = _load(args.file)
-        completion = complete(doc.system)
-        counted = hilbert_function(completion.final_system, args.trunc)
+    if not args.file and not (args.vars and args.degrees):
+        print("hilbert needs --file or both --vars and --degrees", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    doc = _load(args.file)[1] if args.file else None
+    series = None
+    if args.degrees:
+        n = doc.system.n if doc is not None else args.vars
+        try:
+            series = principal_class_series([int(d) for d in args.degrees.split(",")], n, args.trunc)
+        except ValueError as exc:
+            print(f"invalid --degrees {args.degrees!r}: {exc}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
+    if doc is not None:
+        counted = hilbert_function(complete(doc.system).final_system, args.trunc)
         out = {"function": list(counted.coefficients)}
-        if args.degrees:
-            degrees = [int(d) for d in args.degrees.split(",")]
-            series = principal_class_series(degrees, doc.system.n, args.trunc)
+        if series is not None:
             out["series"] = list(series.coefficients)
             out["matches"] = compare(counted, series).agrees
         _emit(out, args.report)
         return EXIT_OK
-    if not args.vars or not args.degrees:
-        print("hilbert needs --file or both --vars and --degrees", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    degrees = [int(d) for d in args.degrees.split(",")]
-    series = principal_class_series(degrees, args.vars, args.trunc)
     if args.report == "json":
         _emit({"series": list(series.coefficients)}, "json")
     else:
@@ -349,8 +353,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 
 

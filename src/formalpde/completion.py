@@ -8,18 +8,13 @@ the result with the integrability criterion: some prolonged symbol g_rho is
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from . import jetspace as js
-from .pdesystem import (
-    LinearSystem,
-    equation_matrix,
-    prolonged_equations,
-    projected_system,
-    slice_at,
-)
-from .ratlinalg import Poly, rref
-from .spencer import is_involutive_symbol, is_s_acyclic
+from .pdesystem import LinearSystem, _equations_from_rref, _full_rref, projected_system, slice_at
+from .ratlinalg import Poly
+from .spencer import is_involutive_symbol, is_s_acyclic, stabilization_window
 
 
 @dataclass(frozen=True)
@@ -51,9 +46,7 @@ def _dims_upto(sys: LinearSystem, q: int) -> tuple:
 
 def _gained_equations(old: LinearSystem, new: LinearSystem) -> tuple:
     """Rows of `new` that are not consequences of `old` at the same order."""
-    q = max(old.order, new.order)
-    columns = js.jets_upto(old.n, old.m, q)
-    base = rref(equation_matrix(prolonged_equations(old, q), columns, old.params))
+    base, columns = _full_rref(old, max(old.order, new.order))
     pivot_rows = {}
     for i, p in enumerate(base.pivots):
         pivot_rows[p] = base.matrix.entries[i]
@@ -89,18 +82,8 @@ def reduce_order(sys: LinearSystem) -> LinearSystem:
 
 def projection_surjective(sys: LinearSystem, order: int) -> bool:
     """True iff projecting R_{order+1} down one order loses no solutions."""
-    q = sys.order
-    horizon = max(order + 1, q)
-    columns = js.jets_upto(sys.n, sys.m, horizon)
-    result = rref(equation_matrix(prolonged_equations(sys, horizon), columns, sys.params))
-    low_rank = 0
-    for i in range(len(result.pivots)):
-        row = result.matrix.entries[i]
-        support_order = max(
-            js.order_of(columns[j].mu) for j in range(len(columns)) if row[j]
-        )
-        if support_order <= order:
-            low_rank += 1
+    result, columns = _full_rref(sys, max(order + 1, sys.order))
+    low_rank = sum(1 for e in _equations_from_rref(result, columns) if e.order <= order)
     dim_proj = js.jet_count_upto(sys.n, order) * sys.m - low_rank
     return dim_proj == slice_at(sys, order).dimension
 
@@ -111,13 +94,26 @@ def complete(sys: LinearSystem, max_steps: int = 10) -> IntegrabilityReport:
     The certification walks rho upward from the final order looking for a
     2-acyclic symbol with surjective projections below; when the window runs
     out the verdict is 'window_inconclusive' rather than a silent guess.
+    Memoised per `max_steps` in the system's cache, by weak reference: the
+    report of a system that needs no change names the system itself, and a
+    strong entry would form a cycle that only the cyclic collector frees.
+    A report is computed again only when no caller holds it any more.
     """
+    key = ("complete", max_steps)
+    report = sys._cache[key]() if key in sys._cache else None
+    if report is None:
+        report = _completion(sys, max_steps)
+        sys._cache[key] = weakref.ref(report)
+    return report
+
+
+def _completion(sys: LinearSystem, max_steps: int) -> IntegrabilityReport:
     if not sys.equations:
         return IntegrabilityReport("formally_integrable", 0, (), sys, 0, ((0, True),), False)
     current = sys
     trace = []
     steps = 0
-    window = 2 * max(sys.order, 1) + sys.n
+    window = stabilization_window(sys)
     for step in range(1, max_steps + 1):
         q = current.order
         dims_before = _dims_upto(current, q)
@@ -162,12 +158,11 @@ def is_completed(sys: LinearSystem) -> bool:
     return _dims_upto(projected_system(sys, 1), q) == _dims_upto(sys, q)
 
 
-def involutive_order(sys: LinearSystem, seed: int = 0, window: int | None = None):
-    """First order >= q at which the symbol passes the involution test."""
-    if window is None:
-        window = 2 * max(sys.order, 1) + sys.n
+def involutive_order(sys: LinearSystem, seed: int = 0):
+    """First order in the stabilization window from max(q, 1) at which the
+    symbol passes the involution test."""
     q = max(sys.order, 1)
-    for order in range(q, q + window + 1):
+    for order in range(q, q + stabilization_window(sys) + 1):
         res = is_involutive_symbol(sys, order, seed=seed)
         if res.involutive:
             return order, res

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .pdesystem import (
-    LinearSystem,
-    equation_matrix,
-    prolonged_equations,
-    slice_at,
-    stable_order,
-)
+from .pdesystem import LinearSystem, _full_rref, slice_at, stable_order
 from .ratlinalg import ExactMatrix, ParamScalar, kernel_basis, rref
 
 SPENCER_SIGN_NOTE = "Spencer operator taken with Macaulay's sign: (d_i f)_mu = f_{mu+1_i}"
@@ -109,12 +103,10 @@ class ModularEquation:
 
 def _full_kernel(sys: LinearSystem, order: int):
     """(kernel basis, columns, free columns) of the equation matrix through `order`."""
-    columns = js.jets_upto(sys.n, sys.m, order)
-    matrix = equation_matrix(prolonged_equations(sys, order), columns, sys.params)
-    result = rref(matrix)
+    result, columns = _full_rref(sys, order)
     pivot_set = set(result.pivots)
     free = [columns[j] for j in range(len(columns)) if j not in pivot_set]
-    return kernel_basis(matrix), columns, free
+    return result.kernel(), columns, free
 
 
 def section_basis(sys: LinearSystem, order: int) -> list[Section]:
@@ -148,14 +140,26 @@ def _section_coordinates(sec: Section, parametric) -> list:
     return [sec.coefficient(jc) for jc in parametric]
 
 
-def _stabilized_order(sys: LinearSystem, max_order: int | None = None) -> int:
+def _lifts(sections, parametric) -> dict:
+    """Each section filed under the first parametric jet where its coefficient
+    is 1; the first section filed under a jet is kept."""
+    by_jet = {}
+    for f in sections:
+        for jc in parametric:
+            if f.coefficient(jc) == 1:
+                by_jet.setdefault(jc, f)
+                break
+    return by_jet
+
+
+def _stabilized_order(sys: LinearSystem) -> int:
     try:
-        return stable_order(sys, max_order)
+        return stable_order(sys)
     except ValueError:
         raise ValueError("inverse system is infinite dimensional; apply relative localization first")
 
 
-def top_generators(sys: LinearSystem, max_order: int | None = None) -> list[ModularEquation]:
+def top_generators(sys: LinearSystem) -> list[ModularEquation]:
     """Nakayama generators of a finite-dimensional inverse system.
 
     Computes m*R = sum_i d_i(R) in parametric-jet coordinates and lifts the
@@ -163,7 +167,7 @@ def top_generators(sys: LinearSystem, max_order: int | None = None) -> list[Modu
     lifts are broken by the jet ordering, which reproduces the classical
     single-dual-jet generator shapes.
     """
-    o = _stabilized_order(sys, max_order)
+    o = _stabilized_order(sys)
     parametric = list(slice_at(sys, o).parametric)
     basis = section_basis(sys, o + 1)
     rows = []
@@ -173,12 +177,7 @@ def top_generators(sys: LinearSystem, max_order: int | None = None) -> list[Modu
             rows.append(_section_coordinates(g, parametric))
     matrix = ExactMatrix(rows, cols=len(parametric), params=sys.params)
     pivots = set(rref(matrix).pivots)
-    by_jet = {}
-    for f in basis:
-        for jc in parametric:
-            if f.coefficient(jc) == 1:
-                by_jet.setdefault(jc, f)
-                break
+    by_jet = _lifts(basis, parametric)
     gens = []
     for j, jc in enumerate(parametric):
         if j not in pivots:
@@ -188,9 +187,7 @@ def top_generators(sys: LinearSystem, max_order: int | None = None) -> list[Modu
 
 def residue_map(sys: LinearSystem, order: int):
     """Residue of every jet through `order` as a vector over the parametric jets."""
-    columns = js.jets_upto(sys.n, sys.m, order)
-    matrix = equation_matrix(prolonged_equations(sys, order), columns, sys.params)
-    result = rref(matrix)
+    result, columns = _full_rref(sys, order)
     pivot_set = set(result.pivots)
     free = [j for j in range(len(columns)) if j not in pivot_set]
     free_jets = [columns[j] for j in free]
@@ -211,13 +208,13 @@ def residue_map(sys: LinearSystem, order: int):
     return ordered, [free_jets[t] for t in order_free]
 
 
-def multiplication_matrices(sys: LinearSystem, max_order: int | None = None):
+def multiplication_matrices(sys: LinearSystem):
     """Matrices of d_1..d_n acting on M over its parametric-jet basis.
 
     Returns (matrices, basis jets); column j of matrix i is the residue of
     d_i applied to basis jet j.
     """
-    o = _stabilized_order(sys, max_order)
+    o = _stabilized_order(sys)
     residues, parametric = residue_map(sys, o + 1)
     basis_jets = [jc for jc in parametric if js.order_of(jc.mu) <= o]
     mats = []
@@ -231,12 +228,12 @@ def multiplication_matrices(sys: LinearSystem, max_order: int | None = None):
     return mats, basis_jets
 
 
-def socle(sys: LinearSystem, max_order: int | None = None):
+def socle(sys: LinearSystem):
     """Basis of {x in M : d_i x = 0 for all i} over the parametric-jet basis.
 
     Returns a list of residue-class vectors, each a dict {jet: coefficient}.
     """
-    mats, basis_jets = multiplication_matrices(sys, max_order)
+    mats, basis_jets = multiplication_matrices(sys)
     stacked = [row for m in mats for row in m.entries]
     matrix = ExactMatrix(stacked, cols=len(basis_jets), params=sys.params)
     kern = kernel_basis(matrix)
@@ -253,14 +250,14 @@ def _span_rank(vectors, width: int, params: int) -> int:
     return len(rref(ExactMatrix(vectors, cols=width, params=params)).pivots)
 
 
-def derivative_closure_dimension(sys: LinearSystem, seed_jets, max_order: int | None = None) -> int:
+def derivative_closure_dimension(sys: LinearSystem, seed_jets) -> int:
     """Dimension of the smallest d-stable subspace of R containing the seeds.
 
     Seeds are parametric jets naming their dual basis sections.  The Spencer
     action on R in these coordinates is the transpose of multiplication on M,
     so the closure is plain invariant-subspace growth.
     """
-    mats, basis_jets = multiplication_matrices(sys, max_order)
+    mats, basis_jets = multiplication_matrices(sys)
     width = len(basis_jets)
     index = {jc: t for t, jc in enumerate(basis_jets)}
     zero, one = sys.zero(), sys.one()
@@ -295,7 +292,7 @@ def derivative_closure_dimension(sys: LinearSystem, seed_jets, max_order: int | 
     return current
 
 
-def generating_sections(sys: LinearSystem, max_order: int | None = None) -> list[ModularEquation]:
+def generating_sections(sys: LinearSystem) -> list[ModularEquation]:
     """Sections generating R as a differential module.
 
     Nakayama lifts (see :func:`top_generators`) are used first; when the
@@ -304,9 +301,9 @@ def generating_sections(sys: LinearSystem, max_order: int | None = None) -> list
     derivative closure fills R.  The classical localized one-generator
     examples come out of the fallback.
     """
-    o = _stabilized_order(sys, max_order)
+    o = _stabilized_order(sys)
     parametric = list(slice_at(sys, o).parametric)
-    gens = top_generators(sys, max_order)
+    gens = top_generators(sys)
     chosen = []
     for g in gens:
         for jc in parametric:
@@ -314,23 +311,16 @@ def generating_sections(sys: LinearSystem, max_order: int | None = None) -> list
                 chosen.append(jc)
                 break
     total = len(parametric)
-    if derivative_closure_dimension(sys, chosen, max_order) == total:
+    if derivative_closure_dimension(sys, chosen) == total:
         return gens
     for jc in reversed(parametric):
         if jc in chosen:
             continue
         trial = chosen + [jc]
-        if derivative_closure_dimension(sys, trial, max_order) > derivative_closure_dimension(
-            sys, chosen, max_order
-        ):
+        if derivative_closure_dimension(sys, trial) > derivative_closure_dimension(sys, chosen):
             chosen = trial
-            if derivative_closure_dimension(sys, chosen, max_order) == total:
+            if derivative_closure_dimension(sys, chosen) == total:
                 break
-    by_jet = {}
-    for f in section_basis(sys, o + 1):
-        for jc in parametric:
-            if f.coefficient(jc) == 1:
-                by_jet.setdefault(jc, f)
-                break
+    by_jet = _lifts(section_basis(sys, o + 1), parametric)
     chosen.sort(key=js.display_key)
     return [ModularEquation(by_jet[jc], sys.m, sys.var_offset) for jc in chosen]

@@ -128,7 +128,10 @@ class _Parser:
     def parse_rational(self) -> Fraction:
         num = self.parse_int()
         if self.accept("/"):
-            den = self.parse_int()
+            tok = self.expect("int")
+            den = int(tok.text)
+            if not den:
+                raise ParseError("zero denominator", tok.line, tok.col)
             return Fraction(num, den)
         return Fraction(num)
 

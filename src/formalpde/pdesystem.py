@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .ratlinalg import ExactMatrix, ParamScalar, rank, rref
+from .ratlinalg import ExactMatrix, ParamScalar, RrefResult, rank, rref
 
 
 class Equation:
@@ -63,6 +63,16 @@ class LinearSystem:
     `params` is the number of scalar parameters chi_i (zero for plain QQ
     coefficients); `var_offset` shifts displayed variable indices so that a
     localized system in the trailing variables keeps its original digit names.
+
+    `_cache` is the one memo of all analyses of this system, by key:
+    ``("rref", horizon)``, ``("word_rref", r)`` and ``("symbol", order)`` hold
+    (RREF without zero rows, columns) of the prolonged, word-prolonged and
+    symbol matrices (:func:`_full_rref`, :func:`_word_rref`,
+    :func:`_symbol_rref`); ``("symbolspace", order)`` the symbol basis;
+    ``("involution", order, seed)`` the involution test; ``("complete",
+    max_steps)`` a weak reference to the completion report, which may name the
+    system itself.  Entries depend only on the equations, so a system must
+    never be mutated; every transformation returns a new system.
     """
 
     __slots__ = ("n", "m", "equations", "params", "var_offset", "_cache")
@@ -141,7 +151,7 @@ class CoordinateChange:
         return len(self.matrix)
 
     def is_identity(self) -> bool:
-        return self == CoordinateChange.identity(self.n)
+        return all(x == (i == j) for i, row in enumerate(self.matrix) for j, x in enumerate(row))
 
 
 @dataclass(frozen=True)
@@ -186,13 +196,21 @@ def _word_prolonged_equations(sys: LinearSystem, r: int) -> list[Equation]:
     return out
 
 
+def _echelon(matrix: ExactMatrix) -> RrefResult:
+    """RREF of `matrix` without its zero rows, the form the memo keeps: every
+    reader uses only the pivot rows, and an entry lives as long as its system."""
+    result = rref(matrix)
+    rows = result.matrix.entries[: len(result.pivots)]
+    return RrefResult(ExactMatrix(rows, cols=matrix.cols, params=matrix.params), result.pivots)
+
+
 def _full_rref(sys: LinearSystem, horizon: int):
     """RREF of all prolonged equations up to `horizon`, with its column list."""
     key = ("rref", horizon)
     if key not in sys._cache:
         columns = js.jets_upto(sys.n, sys.m, horizon)
         matrix = equation_matrix(prolonged_equations(sys, horizon), columns, sys.params)
-        sys._cache[key] = (rref(matrix), columns)
+        sys._cache[key] = (_echelon(matrix), columns)
     return sys._cache[key]
 
 
@@ -202,7 +220,7 @@ def _word_rref(sys: LinearSystem, r: int):
     if key not in sys._cache:
         columns = js.jets_upto(sys.n, sys.m, sys.order + r)
         matrix = equation_matrix(_word_prolonged_equations(sys, r), columns, sys.params)
-        sys._cache[key] = (rref(matrix), columns)
+        sys._cache[key] = (_echelon(matrix), columns)
     return sys._cache[key]
 
 
@@ -243,15 +261,8 @@ def projected_system(sys: LinearSystem, s: int) -> LinearSystem:
     the rows supported on jets of order <= q are exactly the consequences
     visible at the original order.
     """
-    q = sys.order
     result, columns = _word_rref(sys, s)
-    keep = []
-    for i in range(len(result.pivots)):
-        row = result.matrix.entries[i]
-        terms = {columns[j]: row[j] for j in range(len(columns)) if row[j]}
-        if all(js.order_of(jc.mu) <= q for jc in terms):
-            keep.append(Equation(terms))
-    return sys.replace(keep)
+    return sys.replace([e for e in _equations_from_rref(result, columns) if e.order <= sys.order])
 
 
 def _power_expand(mu, a_rows, n: int) -> dict:
@@ -372,46 +383,35 @@ def symbol_matrix(sys: LinearSystem, order: int):
     """(matrix, columns) of the symbol equations at the given order."""
     if order < 0:
         return ExactMatrix([], cols=0, params=sys.params), []
+    columns = js.jets_exact(sys.n, sys.m, order)
+    return equation_matrix(symbol_equations(sys, order), columns, sys.params), columns
+
+
+def _symbol_rref(sys: LinearSystem, order: int):
+    """RREF of the symbol matrix at `order`, with its column list."""
     key = ("symbol", order)
     if key not in sys._cache:
-        columns = js.jets_exact(sys.n, sys.m, order)
-        matrix = equation_matrix(symbol_equations(sys, order), columns, sys.params)
-        sys._cache[key] = (matrix, columns)
+        matrix, columns = symbol_matrix(sys, order)
+        sys._cache[key] = (_echelon(matrix), columns)
     return sys._cache[key]
 
 
-def symbol_dimension(sys: LinearSystem, order: int) -> int:
-    if order < 0:
-        return 0
-    matrix, columns = symbol_matrix(sys, order)
-    return len(columns) - rank(matrix)
+def stable_order(sys: LinearSystem) -> int:
+    """Smallest t with dim R_t = dim R_{t+1} and vanishing symbol above t.
 
-
-def stable_dimension(sys: LinearSystem, max_order: int | None = None) -> int:
-    """Total dimension of the solution space of a finite-type system.
-
-    Walks the orders until dim R_t stops growing and the symbol vanishes;
-    raises when that does not happen inside the window.
+    Raises when that does not happen by order 2q + n + 2.
     """
-    if max_order is None:
-        max_order = 2 * sys.order + sys.n + 2
     prev = slice_at(sys, 0).dimension
-    for t in range(1, max_order + 1):
+    for t in range(1, 2 * sys.order + sys.n + 3):
         cur = slice_at(sys, t).dimension
-        if cur == prev and symbol_dimension(sys, t) == 0:
-            return cur
+        if cur == prev:
+            result, columns = _symbol_rref(sys, t)
+            if len(result.pivots) == len(columns):
+                return t - 1
         prev = cur
     raise ValueError("not finite type within the window; apply relative localization first")
 
 
-def stable_order(sys: LinearSystem, max_order: int | None = None) -> int:
-    """Smallest t with dim R_t = dim R_{t+1} and vanishing symbol above t."""
-    if max_order is None:
-        max_order = 2 * sys.order + sys.n + 2
-    prev = slice_at(sys, 0).dimension
-    for t in range(1, max_order + 1):
-        cur = slice_at(sys, t).dimension
-        if cur == prev and symbol_dimension(sys, t) == 0:
-            return t - 1
-        prev = cur
-    raise ValueError("not finite type within the window; apply relative localization first")
+def stable_dimension(sys: LinearSystem) -> int:
+    """Total dimension of the solution space of a finite-type system."""
+    return slice_at(sys, stable_order(sys)).dimension

@@ -104,21 +104,21 @@ def localize(sys: LinearSystem, r: int) -> LocalizedSystem:
     return LocalizedSystem(s, r, local_sys, sys)
 
 
-def localized_dimension(loc: LocalizedSystem, max_order: int | None = None) -> int:
+def localized_dimension(loc: LocalizedSystem) -> int:
     """Dimension over QQ(chi) of the localized inverse system."""
     try:
-        return stable_dimension(loc.system, max_order)
+        return stable_dimension(loc.system)
     except ValueError:
         raise ValueError("wrong codimension for localization: localized system is not finite type")
 
 
-def localized_parametric_jets(loc: LocalizedSystem, max_order: int | None = None):
+def localized_parametric_jets(loc: LocalizedSystem):
     """Parametric jets of the localized system at its stabilization order."""
-    o = stable_order(loc.system, max_order)
+    o = stable_order(loc.system)
     return slice_at(loc.system, o).parametric
 
 
-def torsion_generators(sys: LinearSystem, r: int, max_order: int | None = None) -> list[TorsionElement]:
+def torsion_generators(sys: LinearSystem, r: int) -> list[TorsionElement]:
     """Elements of M at orders < q whose residues die in the localization.
 
     The candidates span M_{q-1}: its basis is the parametric jets of order
@@ -139,7 +139,7 @@ def torsion_generators(sys: LinearSystem, r: int, max_order: int | None = None) 
     if not candidates:
         return []
     try:
-        o_loc = stable_order(loc.system, max_order)
+        o_loc = stable_order(loc.system)
     except ValueError:
         raise ValueError("wrong codimension for localization: localized system is not finite type")
     horizon = max(o_loc + 1, loc.system.order, q)
@@ -181,11 +181,11 @@ def torsion_generators(sys: LinearSystem, r: int, max_order: int | None = None) 
     return out
 
 
-def localized_generators(loc: LocalizedSystem, max_order: int | None = None) -> list[ModularEquation]:
+def localized_generators(loc: LocalizedSystem) -> list[ModularEquation]:
     """Generating modular equations of the localized inverse system over QQ(chi)."""
     from .inverse import generating_sections
 
-    return generating_sections(loc.system, max_order)
+    return generating_sections(loc.system)
 
 
 def is_pure(sys: LinearSystem, seed: int = 0) -> PurityReport:

@@ -432,6 +432,29 @@ class RrefResult:
     matrix: "ExactMatrix"
     pivots: tuple[int, ...]
 
+    def kernel(self) -> "ExactMatrix":
+        """Columns form a basis of the right null space, one per free column.
+
+        The basis vector for free column f has entry 1 at f and zeros at every
+        other free column, which keeps downstream "parametric jet" choices
+        reproducible.
+        """
+        m = self.matrix
+        pivot_set = set(self.pivots)
+        free = [c for c in range(m.cols) if c not in pivot_set]
+        zero, one = m.zero(), m.one()
+        columns = []
+        for f in free:
+            v = [zero] * m.cols
+            v[f] = one
+            for i, p in enumerate(self.pivots):
+                e = m.entries[i][f]
+                if e:
+                    v[p] = -e
+            columns.append(v)
+        rows = [[columns[j][i] for j in range(len(free))] for i in range(m.cols)]
+        return ExactMatrix(rows, cols=len(free), params=m.params)
+
 
 class ExactMatrix:
     """Dense rectangular matrix over QQ (params == 0) or QQ(chi_1..chi_s)."""
@@ -589,24 +612,5 @@ def rank(matrix: ExactMatrix) -> int:
 
 
 def kernel_basis(matrix: ExactMatrix) -> ExactMatrix:
-    """Columns form a basis of the right null space, one per free column.
-
-    The basis vector for free column f has entry 1 at f and zeros at every
-    other free column, which keeps downstream "parametric jet" choices
-    reproducible.
-    """
-    result = rref(matrix)
-    pivots = result.pivots
-    free = [c for c in range(matrix.cols) if c not in set(pivots)]
-    zero, one = matrix.zero(), matrix.one()
-    columns = []
-    for f in free:
-        v = [zero] * matrix.cols
-        v[f] = one
-        for i, p in enumerate(pivots):
-            e = result.matrix.entries[i][f]
-            if e:
-                v[p] = -e
-        columns.append(v)
-    rows = [[columns[j][i] for j in range(len(free))] for i in range(matrix.cols)]
-    return ExactMatrix(rows, cols=len(free), params=matrix.params)
+    """Right null space basis of `matrix`; see :meth:`RrefResult.kernel`."""
+    return rref(matrix).kernel()

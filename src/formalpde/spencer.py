@@ -22,8 +22,11 @@ from dataclasses import dataclass
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .pdesystem import CoordinateChange, LinearSystem, change_coordinates, symbol_matrix
-from .ratlinalg import ExactMatrix, kernel_basis, rank, rref
+from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, change_coordinates
+from .ratlinalg import ExactMatrix, rank
+
+# random unimodular frames tried after the identity frame fails Cartan's test
+N_FRAMES = 25
 
 
 @dataclass(frozen=True)
@@ -106,12 +109,10 @@ class InvolutionResult:
 def symbol(sys: LinearSystem, order: int) -> SymbolSpace:
     key = ("symbolspace", order)
     if key not in sys._cache:
-        matrix, columns = symbol_matrix(sys, order)
-        result = rref(matrix)
+        result, columns = _symbol_rref(sys, order)
         pivot_set = set(result.pivots)
-        basis = kernel_basis(matrix)
         free = tuple(columns[j] for j in range(len(columns)) if j not in pivot_set)
-        sys._cache[key] = SymbolSpace(order, len(columns), basis, tuple(columns), free)
+        sys._cache[key] = SymbolSpace(order, len(columns), result.kernel(), tuple(columns), free)
     return sys._cache[key]
 
 
@@ -208,10 +209,9 @@ def janet_tableau(sys: LinearSystem, order: int, frame: CoordinateChange | None 
     if frame is None:
         frame = CoordinateChange.identity(sys.n)
     work = sys if frame.is_identity() else change_coordinates(sys, frame)
-    matrix, columns = symbol_matrix(work, order)
-    pivots = rref(matrix).pivots
+    result, columns = _symbol_rref(work, order)
     beta = [0] * sys.n
-    for p in pivots:
+    for p in result.pivots:
         beta[js.class_of(columns[p].mu) - 1] += 1
     alpha = []
     for i in range(1, sys.n + 1):
@@ -238,21 +238,6 @@ def _beta_score(tableau: JanetTableau) -> tuple:
     return tuple(reversed(tableau.beta))
 
 
-def find_regular_frame(
-    sys: LinearSystem, order: int, n_frames: int = 25, seed: int = 0
-) -> JanetTableau:
-    """Identity frame plus random unimodular trials; keep the lexicographically
-    largest (beta_n, ..., beta_1), earliest trial winning ties."""
-    best = janet_tableau(sys, order)
-    rng = random.Random(seed)
-    for _ in range(n_frames):
-        frame = random_unimodular(sys.n, rng)
-        cand = janet_tableau(sys, order, frame)
-        if _beta_score(cand) > _beta_score(best):
-            best = cand
-    return best
-
-
 def acyclicity_scan(sys: LinearSystem, s_max: int, order: int, window: int):
     """H^s dimensions for 1 <= s <= s_max at orders order..order+window.
 
@@ -271,10 +256,8 @@ def acyclicity_scan(sys: LinearSystem, s_max: int, order: int, window: int):
     return reports, finite
 
 
-def is_s_acyclic(sys: LinearSystem, s_max: int, order: int, window: int | None = None):
+def is_s_acyclic(sys: LinearSystem, s_max: int, order: int, window: int):
     """(verdict, window_limited, first nonzero report or None)."""
-    if window is None:
-        window = 2 * sys.order + sys.n
     reports, finite = acyclicity_scan(sys, s_max, order, window)
     for rep in reports:
         if rep.dim_cohomology:
@@ -282,23 +265,29 @@ def is_s_acyclic(sys: LinearSystem, s_max: int, order: int, window: int | None =
     return True, not finite, None
 
 
-def is_involutive_symbol(
-    sys: LinearSystem,
-    order: int | None = None,
-    n_frames: int = 25,
-    seed: int = 0,
-    window: int | None = None,
-) -> InvolutionResult:
+def stabilization_window(sys: LinearSystem) -> int:
+    """How many orders past the start the involution and acyclicity scans look."""
+    return 2 * max(sys.order, 1) + sys.n
+
+
+def is_involutive_symbol(sys: LinearSystem, order: int | None = None, seed: int = 0) -> InvolutionResult:
     """Cartan's numerical test with a delta-regularity frame search.
 
     Returns involutive=True as soon as some frame attains the Cartan count;
     otherwise the answer is taken from the delta-cohomology over the
     stabilization window (exact whenever the symbol is finite type).
+    Memoised per (order, seed) in the system's cache.
     """
     if order is None:
         order = sys.order
-    if window is None:
-        window = 2 * max(sys.order, 1) + sys.n
+    key = ("involution", order, seed)
+    if key not in sys._cache:
+        sys._cache[key] = _involution_test(sys, order, seed)
+    return sys._cache[key]
+
+
+def _involution_test(sys: LinearSystem, order: int, seed: int) -> InvolutionResult:
+    window = stabilization_window(sys)
     if order < 1 or not sys.equations:
         tableau = JanetTableau(order, (0,) * sys.n, (0,) * sys.n, CoordinateChange.identity(sys.n))
         cert = InvolutionCertificate("trivial", 0, symbol_dim(sys, order + 1), 0, window, ())
@@ -311,7 +300,7 @@ def is_involutive_symbol(
     rng = random.Random(seed)
     best = tableau
     tried = 0
-    for _ in range(n_frames):
+    for _ in range(N_FRAMES):
         frame = random_unimodular(sys.n, rng)
         tried += 1
         cand = janet_tableau(sys, order, frame)

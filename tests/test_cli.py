@@ -7,6 +7,7 @@ import pytest
 
 from conftest import CORPUS_TEXTS
 from formalpde import corpus
+from formalpde.completion import complete
 from formalpde.cli import (
     EXIT_CORPUS_MISMATCH,
     EXIT_OK,
@@ -180,3 +181,43 @@ def test_corpus_provenance_tags_present():
         assert result.source
         for check in result.checks:
             assert check.provenance in ("literature", "derived", "trivial"), (name, check.key)
+
+
+@pytest.mark.parametrize("name", ["example7", "example3"])
+def test_report_bytes_do_not_depend_on_the_memo(name):
+    # one system analysed at seed 0, then 1, then 2 keeps every memo entry of
+    # the earlier seeds; each report must equal that of a fresh parse.  The
+    # example3 report differs from seed to seed, the flagship's does not.
+    text = CORPUS_TEXTS[name]
+    shared = parse(text).system
+    completion = complete(shared)  # held, so the completed system and its memo persist
+
+    def report_bytes(system, seed):
+        return json.dumps(build_report(text, system, seed=seed), sort_keys=True, indent=2, ensure_ascii=False)
+
+    for seed in (0, 1, 2):
+        fresh = report_bytes(parse(text).system, seed)
+        assert report_bytes(shared, seed) == fresh
+        assert report_bytes(shared, seed) == fresh
+    assert complete(shared) is completion
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{zero_denominator}"],
+        ["analyze", "{directory}"],
+        ["hilbert", "--vars", "2", "--degrees", "0"],
+        ["hilbert", "--vars", "2", "--degrees", "a"],
+        ["hilbert", "--vars", "1", "--degrees", "1,1"],
+    ],
+    ids=["zero-denominator", "directory", "degree-zero", "degree-not-int", "degrees-exceed-vars"],
+)
+def test_cli_input_error_exit_code(argv, tmp_path, capsys):
+    bad = tmp_path / "zero.pde"
+    bad.write_text("vars=1; eq: 1/0*y[1]=0\n", encoding="utf-8")
+    argv = [a.format(zero_denominator=bad, directory=tmp_path) for a in argv]
+    assert main(argv) == EXIT_PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import make_system
+from conftest import CORPUS_TEXTS, make_system
 from formalpde import jetspace as js
 from formalpde.completion import (
     characteristic_matrix,
@@ -13,6 +13,7 @@ from formalpde.completion import (
     is_completed,
     projection_surjective,
 )
+from formalpde.parser import parse
 from formalpde.pdesystem import CoordinateChange, change_coordinates, prolong, slice_at
 from formalpde.ratlinalg import Poly
 from formalpde.spencer import random_unimodular
@@ -172,3 +173,11 @@ def test_codimension_invariant_under_frames(corpus_systems):
             frame = random_unimodular(final.n, rng)
             moved = prolong(change_coordinates(final, frame), 0)
             assert codimension(moved) == base
+
+
+@pytest.mark.parametrize("name", ["example3", "example7"])
+def test_complete_is_memoised(name):
+    # example7 is already complete, so its report names the system itself
+    sys = parse(CORPUS_TEXTS[name]).system
+    assert complete(sys) is complete(sys)
+    assert (complete(sys).final_system is sys) == (name == "example7")

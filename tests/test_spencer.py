@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_system
+from conftest import CORPUS_TEXTS, make_system
+from formalpde.parser import parse
 from formalpde.ratlinalg import rank
 from formalpde.spencer import (
     cohomology,
@@ -215,3 +216,15 @@ def test_symbol_space_vectors_satisfy_equations(corpus_systems):
 
     matrix, _ = symbol_matrix(sys, 3)
     assert (matrix @ space.basis).is_zero()
+
+
+def test_involution_memo_is_keyed_on_seed():
+    # example3 as given: the frame search needs six random frames at seed 0
+    # and one at seed 1, so a memo that ignored the seed would mix them up
+    text = CORPUS_TEXTS["example3"]
+    shared = parse(text).system
+    results = {seed: is_involutive_symbol(shared, seed=seed) for seed in (0, 1)}
+    assert results[0].certificate.frames_tried != results[1].certificate.frames_tried
+    for seed, res in results.items():
+        assert is_involutive_symbol(shared, seed=seed) is res
+        assert res == is_involutive_symbol(parse(text).system, seed=seed)
