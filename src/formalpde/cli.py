@@ -4,7 +4,7 @@ Reports are plain text by default or deterministic JSON (`--report json`):
 for a fixed input and seed the serialized report is byte-identical across
 runs.  Exit codes: 0 success, 1 analysis inconclusive within the window,
 2 corpus mismatch, 3 input error (unreadable file, parse error or invalid
-option value), reported as one line on stderr.
+option value), 4 internal error (any other exception); 3 and 4 print one line.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_CORPUS_MISMATCH = 2
 EXIT_PARSE_ERROR = 3
+EXIT_INTERNAL = 4
 
 
 def _load(path: str):
@@ -356,6 +357,9 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

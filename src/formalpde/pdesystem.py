@@ -11,6 +11,7 @@ Systems are treated as immutable; every operation returns a new value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,6 +70,7 @@ class LinearSystem:
     (RREF without zero rows, columns) of the prolonged, word-prolonged and
     symbol matrices (:func:`_full_rref`, :func:`_word_rref`,
     :func:`_symbol_rref`); ``("symbolspace", order)`` the symbol basis;
+    ``("delta_rank", s, order)`` the rank of delta on Lambda^s (x) g_order;
     ``("involution", order, seed)`` the involution test; ``("complete",
     max_steps)`` a weak reference to the completion report, which may name the
     system itself.  Entries depend only on the equations, so a system must
@@ -137,6 +139,7 @@ class CoordinateChange:
             raise ValueError("singular coordinate change")
 
     @classmethod
+    @functools.cache
     def identity(cls, n: int) -> "CoordinateChange":
         return cls(tuple(tuple(Fraction(i == j) for j in range(n)) for i in range(n)))
 

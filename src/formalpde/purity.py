@@ -91,6 +91,8 @@ def localize(sys: LinearSystem, r: int) -> LocalizedSystem:
     if not is_completed(sys):
         raise ValueError("system must be completed before localization")
     s = sys.n - r
+    if s == 0:  # the identity: no parameters, so keep the QQ system and its memo
+        return LocalizedSystem(0, r, sys, sys)
     eqs = []
     for e in sys.equations:
         terms: dict = {}

@@ -4,13 +4,16 @@ Scalars are `fractions.Fraction`; parametric scalars are reduced ratios of
 multivariate polynomials with Fraction coefficients.  Every dimension count in
 the rest of the package (solution spaces, symbols, cohomology, localized
 kernels) reduces to the rank/kernel computations here, so all arithmetic is
-exact and every pivot choice is deterministic: leftmost column first, lowest
-row index among nonzero candidates.
+exact and every result is deterministic: the reduced row echelon form is
+unique, so the pivot order cannot change it.
 
-Matrices over a function field are eliminated fraction-free (Bareiss) after
-clearing denominators, then normalized to reduced row echelon form with field
-divisions.  Ranks over parameters are therefore certified symbolically; no
-probabilistic shortcut is taken.
+Over QQ, rows are cleared of denominators and eliminated sparsely and
+fraction-free over the integers, each row kept primitive; that forward pass
+(:func:`pivot_columns`) is all a rank needs, and the RREF adds a sparse
+Gauss-Jordan back substitution.  Over a function field, matrices are
+eliminated fraction-free (Bareiss) after clearing denominators, then
+normalized to RREF with field divisions, so ranks over parameters are
+certified symbolically; no probabilistic shortcut is taken.
 """
 
 from __future__ import annotations
@@ -514,28 +517,76 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-def _rref_field(m: list[list], one) -> tuple[list[list], list[int]]:
-    """In-place Gauss-Jordan over a field; returns (rows, pivot columns)."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = one / m[r][c]
-        m[r] = [inv * x if x else x for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def integer_row(row: dict) -> dict:
+    """The sparse rational row {col: value} times the lcm of its denominators."""
+    den = math.lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+
+
+def _sparse_rows(matrix: ExactMatrix):
+    """The rows of a QQ matrix as sparse integer rows, one at a time."""
+    return (integer_row({c: v for c, v in enumerate(row) if v}) for row in matrix.entries)
+
+
+def _primitive(row: dict) -> dict:
+    g = math.gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _eliminate(row: dict, b: dict, c: int) -> dict:
+    """The primitive integer combination of `row` and `b` that is zero at c."""
+    a, f = b[c], row[c]
+    g = math.gcd(a, f)
+    a, f = a // g, f // g
+    out = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
+    for k, v in b.items():
+        x = out.get(k, 0) - f * v
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    return _primitive(out) if a != 1 and out else out
+
+
+def _echelon_int(rows) -> dict[int, dict]:
+    """Fraction-free forward elimination: {leading column: primitive row}.
+
+    Each row is reduced by the stored row of its leading column until that
+    column is new.  The leading columns of an echelon basis of a row space do
+    not depend on the row order, so they are the pivots of the RREF.
+    """
+    basis: dict[int, dict] = {}
+    for row in rows:
+        while row:
+            p = min(row)
+            if p not in basis:
+                basis[p] = _primitive(row)
+                break
+            row = _eliminate(row, basis[p], p)
+    return basis
+
+
+def pivot_columns(rows) -> tuple[int, ...]:
+    """Pivot columns of the RREF of the sparse integer rows {col: int}."""
+    return tuple(sorted(_echelon_int(rows)))
+
+
+def _rref_rational(matrix: ExactMatrix) -> tuple[list, list[int]]:
+    """Integer echelon form, back substitution from the last pivot up (rows
+    below are already reduced, so each step clears one column), then one
+    division per entry."""
+    basis = _echelon_int(_sparse_rows(matrix))
+    pivots = sorted(basis)
+    for p in reversed(pivots):
+        for c in [c for c in basis[p] if c != p and c in basis]:
+            basis[p] = _eliminate(basis[p], basis[c], c)
+    zero = Fraction(0)
+    rows = [[zero] * matrix.cols for _ in pivots]
+    for dense, p in zip(rows, pivots):
+        for c, v in basis[p].items():
+            dense[c] = Fraction(v, basis[p][p])
+    rows.extend([(zero,) * matrix.cols] * (matrix.rows - len(pivots)))
+    return rows, pivots
 
 
 def _clear_denominators(row: Sequence[ParamScalar], nparams: int) -> list[Poly]:
@@ -600,15 +651,12 @@ def rref(matrix: ExactMatrix) -> RrefResult:
     """Reduced row echelon form with deterministic pivoting."""
     if matrix.rows == 0:
         return RrefResult(matrix, ())
-    if matrix.params:
-        rows, pivots = _rref_param(matrix)
-    else:
-        rows, pivots = _rref_field([list(r) for r in matrix.entries], Fraction(1))
+    rows, pivots = (_rref_param if matrix.params else _rref_rational)(matrix)
     return RrefResult(ExactMatrix(rows, cols=matrix.cols, params=matrix.params), tuple(pivots))
 
 
 def rank(matrix: ExactMatrix) -> int:
-    return len(rref(matrix).pivots)
+    return len(rref(matrix).pivots if matrix.params else pivot_columns(_sparse_rows(matrix)))
 
 
 def kernel_basis(matrix: ExactMatrix) -> ExactMatrix:

@@ -16,6 +16,7 @@ negatives, and those are cross-checked against the delta-cohomology.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from . import jetspace as js
 from .jetspace import JetCoordinate
 from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, change_coordinates
-from .ratlinalg import ExactMatrix, rank
+from .ratlinalg import ExactMatrix, integer_row, pivot_columns, rank
 
 # random unimodular frames tried after the identity frame fails Cartan's test
 N_FRAMES = 25
@@ -126,53 +127,69 @@ def _exterior_basis(n: int, s: int) -> list[tuple]:
     return list(itertools.combinations(range(1, n + 1), s))
 
 
-def delta_matrix(sys: LinearSystem, s: int, order: int) -> ExactMatrix:
-    """Matrix of delta: Lambda^s (x) g_order -> Lambda^{s+1} (x) g_{order-1}.
+def _delta_columns(sys: LinearSystem, s: int, order: int):
+    """Image under delta of each domain basis vector, as a sparse column {row: value}.
 
     Domain columns are indexed by (sorted index set I, symbol basis vector);
     codomain rows by (index set J, coordinate of g_{order-1}).  Coordinates on
     g_{order-1} are read off at its free (parametric) columns, which is exact
     because each kernel basis vector is 1 on its own free column and 0 on the
     others.  The sign of dx^i wedge dx^I is the parity of the insertion
-    position of i in the sorted result.
+    position of i in the sorted result.  A column meets each row once: (J, t)
+    fixes i = J - I, and (i, t) the source monomial.
     """
     n = sys.n
     if not 0 <= s < n:
         raise ValueError("top exterior degree")
-    g_hi = symbol(sys, order)
-    g_lo = symbol(sys, order - 1) if order >= 1 else None
-    dom_sets = _exterior_basis(n, s)
-    cod_sets = _exterior_basis(n, s + 1)
-    lo_dim = g_lo.dim if g_lo else 0
-    lo_free_pos = {}
-    if g_lo:
-        col_of = {jc: idx for idx, jc in enumerate(g_lo.monomials)}
-        lo_free_pos = {jc: t for t, jc in enumerate(g_lo.free_columns)}
+    g_hi, lo_dim = symbol(sys, order), symbol_dim(sys, order - 1)
     hi_cols = {jc: idx for idx, jc in enumerate(g_hi.monomials)}
-    rows = len(cod_sets) * lo_dim
-    cols = len(dom_sets) * g_hi.dim
-    zero = sys.zero()
-    entries = [[zero] * cols for _ in range(rows)]
-    for di, I in enumerate(dom_sets):
-        for b in range(g_hi.dim):
-            col = di * g_hi.dim + b
-            for i in range(1, n + 1):
-                if i in I:
-                    continue
-                J = tuple(sorted(I + (i,)))
-                sign = 1 if J.index(i) % 2 == 0 else -1
-                ci = cod_sets.index(J)
-                # component at mu of the image is the basis vector at mu+1_i
-                for jc, t in lo_free_pos.items():
-                    mu_up = tuple(e + (1 if p == i - 1 else 0) for p, e in enumerate(jc.mu))
-                    src = hi_cols.get(JetCoordinate(jc.k, mu_up))
-                    if src is None:
-                        continue
-                    v = g_hi.basis.entries[src][b]
-                    if v:
-                        row = ci * lo_dim + t
-                        entries[row][col] = entries[row][col] + (v if sign > 0 else -v)
-    return ExactMatrix(entries, cols=cols, params=sys.params)
+    # the component at mu of the image is the basis vector at mu + 1_i, so
+    # lowering[src] lists the (i, t) whose lift by x_i is monomial src
+    lowering: dict[int, list] = {}
+    for t, jc in enumerate(symbol(sys, order - 1).free_columns if lo_dim else ()):
+        for i in range(1, n + 1):
+            src = hi_cols.get(JetCoordinate(jc.k, tuple(e + (p == i - 1) for p, e in enumerate(jc.mu))))
+            if src is not None:
+                lowering.setdefault(src, []).append((i, t))
+    basis = g_hi.basis.entries
+    supports = [[(src, basis[src][b]) for src in lowering if basis[src][b]] for b in range(g_hi.dim)]
+    cod_index = {J: ci for ci, J in enumerate(_exterior_basis(n, s + 1))}
+    for I in _exterior_basis(n, s):
+        # row offset of the block J = I + {i}, and whether dx^i wedge dx^I = +dx^J
+        place = {}
+        for i in set(range(1, n + 1)).difference(I):
+            J = tuple(sorted(I + (i,)))
+            place[i] = (cod_index[J] * lo_dim, J.index(i) % 2 == 0)
+        for support in supports:
+            column = {}
+            for src, v in support:
+                for i, t in lowering[src]:
+                    if i in place:
+                        offset, positive = place[i]
+                        column[offset + t] = v if positive else -v
+            yield column
+
+
+def delta_matrix(sys: LinearSystem, s: int, order: int) -> ExactMatrix:
+    """Matrix of delta: Lambda^s (x) g_order -> Lambda^{s+1} (x) g_{order-1}.
+
+    The dense form of :func:`_delta_columns`; ranks of QQ maps never build it.
+    """
+    columns, zero = list(_delta_columns(sys, s, order)), sys.zero()
+    rows = _lambda_dim(sys.n, s + 1) * symbol_dim(sys, order - 1)
+    entries = [[column.get(r, zero) for column in columns] for r in range(rows)]
+    return ExactMatrix(entries, cols=len(columns), params=sys.params)
+
+
+def _delta_rank(sys: LinearSystem, s: int, order: int) -> int:
+    """Rank of delta at Lambda^s (x) g_order, memoised in the system's cache."""
+    key = ("delta_rank", s, order)
+    if key not in sys._cache:
+        if sys.params:
+            sys._cache[key] = rank(delta_matrix(sys, s, order))
+        else:  # the rank of the transpose: the sparse columns go in as rows
+            sys._cache[key] = len(pivot_columns(map(integer_row, _delta_columns(sys, s, order))))
+    return sys._cache[key]
 
 
 def _lambda_dim(n: int, s: int) -> int:
@@ -196,9 +213,9 @@ def cohomology(sys: LinearSystem, s: int, order: int) -> DeltaReport:
         raise ValueError("exterior degree out of range")
     dim_dom = _lambda_dim(n, s) * symbol_dim(sys, order)
     dim_cod = _lambda_dim(n, s + 1) * symbol_dim(sys, order - 1) if s < n else 0
-    rank_out = rank(delta_matrix(sys, s, order)) if s < n and dim_dom else 0
+    rank_out = _delta_rank(sys, s, order) if s < n and dim_dom else 0
     if s >= 1 and symbol_dim(sys, order + 1):
-        rank_in = rank(delta_matrix(sys, s - 1, order + 1))
+        rank_in = _delta_rank(sys, s - 1, order + 1)
     else:
         rank_in = 0
     return DeltaReport(s, order, dim_dom, dim_cod, rank_out, rank_in)
@@ -232,6 +249,13 @@ def random_unimodular(n: int, rng: random.Random, bound: int = 3, steps: int = 1
         if all(abs(x) <= bound for x in new_row):
             a[i] = new_row
     return CoordinateChange(tuple(tuple(x for x in row) for row in a))
+
+
+@functools.lru_cache(maxsize=4)  # a run uses one seed and few variable counts
+def _frames(n: int, seed: int) -> tuple:
+    """The N_FRAMES random unimodular frames of the search, drawn once per (n, seed)."""
+    rng = random.Random(seed)
+    return tuple(random_unimodular(n, rng) for _ in range(N_FRAMES))
 
 
 def _beta_score(tableau: JanetTableau) -> tuple:
@@ -297,11 +321,9 @@ def _involution_test(sys: LinearSystem, order: int, seed: int) -> InvolutionResu
     if tableau.multiplicative_sum == dim_next:
         cert = InvolutionCertificate("cartan", 0, dim_next, tableau.multiplicative_sum, window, ())
         return InvolutionResult(True, tableau, cert)
-    rng = random.Random(seed)
     best = tableau
     tried = 0
-    for _ in range(N_FRAMES):
-        frame = random_unimodular(sys.n, rng)
+    for frame in _frames(sys.n, seed):
         tried += 1
         cand = janet_tableau(sys, order, frame)
         if _beta_score(cand) > _beta_score(best):

@@ -10,6 +10,7 @@ from formalpde import corpus
 from formalpde.completion import complete
 from formalpde.cli import (
     EXIT_CORPUS_MISMATCH,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE_ERROR,
     build_report,
@@ -221,3 +222,16 @@ def test_cli_input_error_exit_code(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_internal_error_exit_code(monkeypatch, capsys):
+    from formalpde import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_examples", broken)
+    assert main(["examples", "list"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal error: RuntimeError: boom"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from formalpde.ratlinalg import (
     ParamScalar,
     Poly,
     kernel_basis,
+    pivot_columns,
     poly_gcd,
     rank,
     rref,
@@ -48,6 +50,25 @@ def oracle_rank(rows):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         r += 1
     return r
+
+
+def oracle_rref(rows, ncols):
+    """Dense textbook Gauss-Jordan: (reduced rows incl. zero rows, pivots)."""
+    m = [[F(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
 
 
 # The sixteen third-order symbol equations of the four-variable flagship
@@ -277,3 +298,50 @@ def test_poly_div_exact_raises_on_inexact():
     x = Poly.var(1, 0)
     with pytest.raises(ValueError):
         (x * x + 1).div_exact(x + 1)
+
+
+_QQ_ENTRIES = st.one_of(
+    st.just(F(0)),
+    st.integers(-4, 4).map(F),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**20),
+)
+
+
+@st.composite
+def _qq_matrices(draw):
+    """Small QQ matrices, empty ones included, with repeated, scaled and zero rows."""
+    ncols = draw(st.integers(0, 6))
+    row = st.lists(_QQ_ENTRIES, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "repeat", "scaled")))
+        if kind == "zero" or not rows:
+            new = [F(0)] * ncols
+        elif kind == "repeat":
+            new = list(draw(st.sampled_from(rows)))
+        else:
+            factor = draw(_QQ_ENTRIES)
+            new = [factor * x for x in draw(st.sampled_from(rows))]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_qq_matrices())
+def test_sparse_rref_matches_dense_oracle(data):
+    rows, ncols = data
+    m = ExactMatrix(rows, cols=ncols)
+    expected, pivots = oracle_rref(rows, ncols)
+    result = rref(m)
+    assert result.pivots == tuple(pivots)
+    assert (result.matrix.rows, result.matrix.cols) == (len(rows), ncols)
+    assert [list(r) for r in result.matrix.entries] == expected
+    assert rank(m) == len(result.pivots)
+    # the integer kernel on the rows scaled by their denominators
+    cleared = []
+    for r in rows:
+        den = 1
+        for x in r:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+        cleared.append({c: int(x * den) for c, x in enumerate(r) if x})
+    assert pivot_columns(cleared) == result.pivots

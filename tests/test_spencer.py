@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import CORPUS_TEXTS, make_system
@@ -10,6 +12,7 @@ from formalpde.spencer import (
     delta_matrix,
     is_involutive_symbol,
     janet_tableau,
+    stabilization_window,
     symbol,
     symbol_dim,
 )
@@ -228,3 +231,94 @@ def test_involution_memo_is_keyed_on_seed():
     for seed, res in results.items():
         assert is_involutive_symbol(shared, seed=seed) is res
         assert res == is_involutive_symbol(parse(text).system, seed=seed)
+
+
+def reference_delta(sys, s, order):
+    """Dense delta matrix straight from (delta w)^k_mu = sum_i dx^i wedge w^k_{mu+1_i}."""
+    from itertools import combinations
+
+    from formalpde.jetspace import JetCoordinate
+
+    n = sys.n
+    g_hi, g_lo = symbol(sys, order), symbol(sys, order - 1) if order >= 1 else None
+    lo_free = g_lo.free_columns if g_lo else ()
+    hi_row = {jc: idx for idx, jc in enumerate(g_hi.monomials)}
+    dom, cod = list(combinations(range(1, n + 1), s)), list(combinations(range(1, n + 1), s + 1))
+    entries = [[Fraction(0)] * (len(dom) * g_hi.dim) for _ in range(len(cod) * len(lo_free))]
+    for di, I in enumerate(dom):
+        for b in range(g_hi.dim):
+            for i in set(range(1, n + 1)) - set(I):
+                J = tuple(sorted(I + (i,)))
+                sign = (-1) ** J.index(i)
+                for t, jc in enumerate(lo_free):
+                    up = tuple(e + (p == i - 1) for p, e in enumerate(jc.mu))
+                    src = hi_row.get(JetCoordinate(jc.k, up))
+                    if src is not None:
+                        row, col = cod.index(J) * len(lo_free) + t, di * g_hi.dim + b
+                        entries[row][col] += sign * g_hi.basis.entries[src][b]
+    return entries
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_TEXTS))
+def test_memoised_delta_rank_matches_dense_matrix(name):
+    # the memoised rank eliminates the sparse columns of delta; the dense
+    # matrix is checked entry by entry against the definition and ranked by rows
+    sys = parse(CORPUS_TEXTS[name]).system
+    q = max(sys.order, 1)
+    for order in range(q, q + stabilization_window(sys) + 1):
+        if not symbol_dim(sys, order):
+            continue
+        for s in range(sys.n):
+            dense = delta_matrix(sys, s, order)
+            assert [list(r) for r in dense.entries] == reference_delta(sys, s, order), (s, order)
+            assert cohomology(sys, s, order).rank_out == rank(dense), (s, order)
+            assert sys._cache[("delta_rank", s, order)] == rank(dense)
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((name, args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_cohomology_again_runs_no_elimination(monkeypatch):
+    from formalpde import pdesystem, spencer
+
+    sys = parse(CORPUS_TEXTS["example6_third"]).system
+    spots = [(s, o) for o in range(3, 8) for s in range(sys.n + 1)]
+    first = [cohomology(sys, s, o) for s, o in spots]
+    calls = []
+    for module, name in (
+        (spencer, "_delta_columns"),
+        (spencer, "pivot_columns"),
+        (spencer, "rank"),
+        (pdesystem, "rref"),
+    ):
+        _count_calls(monkeypatch, module, name, calls)
+    assert [cohomology(sys, s, o) for s, o in spots] == first
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["example7", "example6_third", "abstract_n3"])
+def test_report_after_involution_test_builds_no_delta_map(name, monkeypatch):
+    # the report's acyclicity table reads only ranks the completion and the
+    # cohomology scan of the involution test have already memoised
+    from formalpde import spencer
+    from formalpde.cli import build_report
+    from formalpde.completion import complete
+
+    text = CORPUS_TEXTS[name]
+    sys = parse(text).system
+    calls = []
+    _count_calls(monkeypatch, spencer, "_delta_columns", calls)
+    completion = complete(sys)  # held, so the completed system and its memo persist
+    final = completion.final_system
+    assert is_involutive_symbol(final).certificate.method == "cohomology"
+    assert calls, "the counter sees the delta maps of the first analysis"
+    calls.clear()
+    build_report(text, sys)
+    assert not [args for _, args in calls if args[0] is final]
