@@ -4,7 +4,8 @@ Reports are plain text by default or deterministic JSON (`--report json`):
 for a fixed input and seed the serialized report is byte-identical across
 runs.  Exit codes: 0 success, 1 analysis inconclusive within the window,
 2 corpus mismatch, 3 input error (unreadable file, parse error or invalid
-option value), 4 internal error (any other exception); 3 and 4 print one line.
+option value), 4 internal error (any other exception); 3 and 4 print one
+line, and so does 1 from `inverse` and `purity`, which print no report then.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def build_report(text: str, sys_: LinearSystem, seed: int = 0, trunc: int | None
     counted = hilbert_function(final, trunc)
     report["hilbert"] = {"function": list(counted.coefficients), "truncation": trunc}
     degrees = sorted((e.order for e in sys_.equations), reverse=True)
-    if sys_.m == 1 and len(degrees) == report["codimension"] and degrees:
+    # the series needs one generator of degree >= 1 per unit of codimension
+    if sys_.m == 1 and len(degrees) == report["codimension"] and degrees and degrees[-1] >= 1:
         series = principal_class_series(degrees, sys_.n, trunc)
         cmp_result = compare(counted, series)
         report["hilbert"]["principal_class_series"] = list(series.coefficients)
@@ -221,9 +223,24 @@ def cmd_hilbert(args) -> int:
     return EXIT_OK
 
 
+def _inconclusive(exc: ValueError) -> int:
+    print(f"inconclusive: {exc}", file=sys.stderr)
+    return EXIT_INCONCLUSIVE
+
+
 def cmd_inverse(args) -> int:
     text, doc = _load(args.file)
-    completion = complete(doc.system)
+    try:
+        out = _inverse_report(complete(doc.system), args.seed)
+    except ValueError as exc:
+        return _inconclusive(exc)
+    _emit(out, args.report)
+    return EXIT_OK
+
+
+def _inverse_report(completion, seed: int) -> dict:
+    if not completion.integrable:
+        raise ValueError("completion inconclusive; inverse system undecided")
     final = completion.final_system
     out: dict = {}
     try:
@@ -232,19 +249,21 @@ def cmd_inverse(args) -> int:
         out["top_generators"] = [g.body() for g in top_generators(final)]
         out["socle_dimension"] = len(socle(final))
     except ValueError:
-        r = codimension(final, seed=args.seed)
+        r = codimension(final, seed=seed)
         out["finite_dimension"] = None
         out["codimension"] = r
         loc = localize(final, r)
         out["localized_generators"] = [g.body() for g in localized_generators(loc)]
     out["note"] = SPENCER_SIGN_NOTE
-    _emit(out, args.report)
-    return EXIT_OK
+    return out
 
 
 def cmd_purity(args) -> int:
     text, doc = _load(args.file)
-    purity = is_pure(doc.system, seed=args.seed)
+    try:
+        purity = is_pure(doc.system, seed=args.seed)
+    except ValueError as exc:
+        return _inconclusive(exc)
     out = {
         "codimension": purity.codimension,
         "localized_dimension": purity.localized_dimension,

@@ -47,20 +47,17 @@ def _dims_upto(sys: LinearSystem, q: int) -> tuple:
 def _gained_equations(old: LinearSystem, new: LinearSystem) -> tuple:
     """Rows of `new` that are not consequences of `old` at the same order."""
     base, columns = _full_rref(old, max(old.order, new.order))
-    pivot_rows = {}
-    for i, p in enumerate(base.pivots):
-        pivot_rows[p] = base.matrix.entries[i]
+    pivot_rows = dict(zip(base.pivots, base.matrix.sparse))
     index = {jc: j for j, jc in enumerate(columns)}
-    gained = []
+    zero, gained = old.zero(), []
     for e in new.equations:
-        vec = [old.zero()] * len(columns)
-        for jc, c in e.terms.items():
-            vec[index[jc]] = c
-        for j in range(len(columns)):
-            if vec[j] and j in pivot_rows:
-                f = vec[j]
-                vec = [a - f * b for a, b in zip(vec, pivot_rows[j])]
-        if any(vec):
+        vec = {index[jc]: c for jc, c in e.terms.items()}
+        # a pivot row is zero at every other pivot, so one pass reduces vec
+        for p in [c for c in vec if c in pivot_rows]:
+            f = vec[p]
+            for c, v in pivot_rows[p].items():
+                vec[c] = vec.get(c, zero) - f * v
+        if any(vec.values()):
             gained.append(e)
     return tuple(gained)
 

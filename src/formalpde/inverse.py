@@ -117,9 +117,8 @@ def section_basis(sys: LinearSystem, order: int) -> list[Section]:
     """
     basis, columns, free = _full_kernel(sys, order)
     sections = []
-    for b in range(basis.cols):
-        coeffs = {columns[i]: basis.entries[i][b] for i in range(len(columns))}
-        sections.append((free[b], Section(order, coeffs)))
+    for b, vec in enumerate(basis.transpose().sparse):
+        sections.append((free[b], Section(order, {columns[i]: v for i, v in vec.items()})))
     sections.sort(key=lambda pair: js.display_key(pair[0]))
     return [sec for _, sec in sections]
 
@@ -134,10 +133,6 @@ def spencer_apply(i: int, f: Section) -> Section:
             if js.order_of(lower) <= f.order - 1:
                 result[JetCoordinate(jc.k, lower)] = c
     return Section(f.order - 1, result)
-
-
-def _section_coordinates(sec: Section, parametric) -> list:
-    return [sec.coefficient(jc) for jc in parametric]
 
 
 def _lifts(sections, parametric) -> dict:
@@ -170,13 +165,13 @@ def top_generators(sys: LinearSystem) -> list[ModularEquation]:
     o = _stabilized_order(sys)
     parametric = list(slice_at(sys, o).parametric)
     basis = section_basis(sys, o + 1)
+    index = {jc: t for t, jc in enumerate(parametric)}
     rows = []
     for f in basis:
         for i in range(1, sys.n + 1):
             g = spencer_apply(i, f)
-            rows.append(_section_coordinates(g, parametric))
-    matrix = ExactMatrix(rows, cols=len(parametric), params=sys.params)
-    pivots = set(rref(matrix).pivots)
+            rows.append({index[jc]: c for jc, c in g.coefficients.items() if jc in index})
+    pivots = set(rref(ExactMatrix.from_rows(rows, len(parametric), sys.params)).pivots)
     by_jet = _lifts(basis, parametric)
     gens = []
     for j, jc in enumerate(parametric):
@@ -186,26 +181,15 @@ def top_generators(sys: LinearSystem) -> list[ModularEquation]:
 
 
 def residue_map(sys: LinearSystem, order: int):
-    """Residue of every jet through `order` as a vector over the parametric jets."""
+    """Residue of every jet through `order` as a sparse vector {t: value} over
+    the parametric jets, numbered by t in display order."""
     result, columns = _full_rref(sys, order)
-    pivot_set = set(result.pivots)
-    free = [j for j in range(len(columns)) if j not in pivot_set]
-    free_jets = [columns[j] for j in free]
-    order_free = sorted(range(len(free)), key=lambda t: js.display_key(free_jets[t]))
-    residues: dict = {}
-    zero = sys.zero()
-    for t, j in enumerate(free):
-        vec = [zero] * len(free)
-        vec[t] = sys.one()
-        residues[columns[j]] = vec
-    for i, p in enumerate(result.pivots):
-        row = result.matrix.entries[i]
-        residues[columns[p]] = [-row[j] for j in free]
-    # reorder coordinates into display order of the parametric jets
-    ordered = {}
-    for jc, vec in residues.items():
-        ordered[jc] = [vec[t] for t in order_free]
-    return ordered, [free_jets[t] for t in order_free]
+    free = sorted(set(range(len(columns))).difference(result.pivots), key=lambda j: js.display_key(columns[j]))
+    place = {j: t for t, j in enumerate(free)}
+    residues = {columns[j]: {t: sys.one()} for j, t in place.items()}
+    for p, row in zip(result.pivots, result.matrix.sparse):
+        residues[columns[p]] = {place[j]: -v for j, v in row.items() if j != p}
+    return residues, [columns[j] for j in free]
 
 
 def multiplication_matrices(sys: LinearSystem):
@@ -216,15 +200,15 @@ def multiplication_matrices(sys: LinearSystem):
     """
     o = _stabilized_order(sys)
     residues, parametric = residue_map(sys, o + 1)
-    basis_jets = [jc for jc in parametric if js.order_of(jc.mu) <= o]
+    basis_jets = [jc for jc in parametric if js.order_of(jc.mu) <= o]  # a prefix
+    width = len(basis_jets)
     mats = []
     for i in range(1, sys.n + 1):
         cols = []
         for jc in basis_jets:
             up = tuple(e + (1 if t == i - 1 else 0) for t, e in enumerate(jc.mu))
-            cols.append(residues[JetCoordinate(jc.k, up)])
-        rows = [[cols[c][t] for c in range(len(basis_jets))] for t in range(len(basis_jets))]
-        mats.append(ExactMatrix(rows, cols=len(basis_jets), params=sys.params))
+            cols.append({t: v for t, v in residues[JetCoordinate(jc.k, up)].items() if t < width})
+        mats.append(ExactMatrix.from_rows(cols, width, sys.params).transpose())
     return mats, basis_jets
 
 
@@ -234,20 +218,13 @@ def socle(sys: LinearSystem):
     Returns a list of residue-class vectors, each a dict {jet: coefficient}.
     """
     mats, basis_jets = multiplication_matrices(sys)
-    stacked = [row for m in mats for row in m.entries]
-    matrix = ExactMatrix(stacked, cols=len(basis_jets), params=sys.params)
-    kern = kernel_basis(matrix)
-    out = []
-    for b in range(kern.cols):
-        vec = {basis_jets[i]: kern.entries[i][b] for i in range(len(basis_jets)) if kern.entries[i][b]}
-        out.append(vec)
-    return out
+    stacked = [row for m in mats for row in m.sparse]
+    kern = kernel_basis(ExactMatrix.from_rows(stacked, len(basis_jets), sys.params))
+    return [{basis_jets[i]: v for i, v in vec.items()} for vec in kern.transpose().sparse]
 
 
 def _span_rank(vectors, width: int, params: int) -> int:
-    if not vectors:
-        return 0
-    return len(rref(ExactMatrix(vectors, cols=width, params=params)).pivots)
+    return len(rref(ExactMatrix.from_rows(vectors, width, params)).pivots)
 
 
 def derivative_closure_dimension(sys: LinearSystem, seed_jets) -> int:
@@ -260,26 +237,19 @@ def derivative_closure_dimension(sys: LinearSystem, seed_jets) -> int:
     mats, basis_jets = multiplication_matrices(sys)
     width = len(basis_jets)
     index = {jc: t for t, jc in enumerate(basis_jets)}
-    zero, one = sys.zero(), sys.one()
-    vectors = []
-    for jc in seed_jets:
-        v = [zero] * width
-        v[index[jc]] = one
-        vectors.append(v)
-    transposed = [
-        [[m.entries[c][r] for c in range(width)] for r in range(width)] for m in mats
-    ]
+    vectors = [{index[jc]: sys.one()} for jc in seed_jets]
     current = _span_rank(vectors, width, sys.params)
     frontier = list(vectors)
     while frontier:
         new = []
         for v in frontier:
-            for mt in transposed:
-                img = [
-                    sum((mt[r][c] * v[c] for c in range(width) if v[c]), zero)
-                    for r in range(width)
-                ]
-                if any(img):
+            for m in mats:  # the transpose of m applied to v: row c of m scaled by v[c]
+                img = {}
+                for c, x in v.items():
+                    for r, y in m.sparse[c].items():
+                        img[r] = img[r] + y * x if r in img else y * x
+                img = {r: y for r, y in img.items() if y}
+                if img:
                     new.append(img)
         if not new:
             break

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .ratlinalg import ExactMatrix, ParamScalar, RrefResult, rank, rref
+from .ratlinalg import ExactMatrix, ParamScalar, rank, rref
 
 
 class Equation:
@@ -67,8 +67,8 @@ class LinearSystem:
 
     `_cache` is the one memo of all analyses of this system, by key:
     ``("rref", horizon)``, ``("word_rref", r)`` and ``("symbol", order)`` hold
-    (RREF without zero rows, columns) of the prolonged, word-prolonged and
-    symbol matrices (:func:`_full_rref`, :func:`_word_rref`,
+    (RREF, columns) of the prolonged, word-prolonged and symbol matrices,
+    whose zero rows are empty sparse rows (:func:`_full_rref`, :func:`_word_rref`,
     :func:`_symbol_rref`); ``("symbolspace", order)`` the symbol basis;
     ``("delta_rank", s, order)`` the rank of delta on Lambda^s (x) g_order;
     ``("involution", order, seed)`` the involution test; ``("complete",
@@ -167,15 +167,9 @@ class JetSpaceSlice:
 
 
 def equation_matrix(equations, columns, params: int = 0) -> ExactMatrix:
-    zero = ParamScalar.zero(params) if params else Fraction(0)
     index = {jc: j for j, jc in enumerate(columns)}
-    rows = []
-    for e in equations:
-        row = [zero] * len(columns)
-        for jc, c in e.terms.items():
-            row[index[jc]] = c
-        rows.append(row)
-    return ExactMatrix(rows, cols=len(columns), params=params)
+    rows = [{index[jc]: c for jc, c in e.terms.items()} for e in equations]
+    return ExactMatrix.from_rows(rows, len(columns), params)
 
 
 def prolonged_equations(sys: LinearSystem, horizon: int) -> list[Equation]:
@@ -199,21 +193,13 @@ def _word_prolonged_equations(sys: LinearSystem, r: int) -> list[Equation]:
     return out
 
 
-def _echelon(matrix: ExactMatrix) -> RrefResult:
-    """RREF of `matrix` without its zero rows, the form the memo keeps: every
-    reader uses only the pivot rows, and an entry lives as long as its system."""
-    result = rref(matrix)
-    rows = result.matrix.entries[: len(result.pivots)]
-    return RrefResult(ExactMatrix(rows, cols=matrix.cols, params=matrix.params), result.pivots)
-
-
 def _full_rref(sys: LinearSystem, horizon: int):
     """RREF of all prolonged equations up to `horizon`, with its column list."""
     key = ("rref", horizon)
     if key not in sys._cache:
         columns = js.jets_upto(sys.n, sys.m, horizon)
         matrix = equation_matrix(prolonged_equations(sys, horizon), columns, sys.params)
-        sys._cache[key] = (_echelon(matrix), columns)
+        sys._cache[key] = (rref(matrix), columns)
     return sys._cache[key]
 
 
@@ -223,7 +209,7 @@ def _word_rref(sys: LinearSystem, r: int):
     if key not in sys._cache:
         columns = js.jets_upto(sys.n, sys.m, sys.order + r)
         matrix = equation_matrix(_word_prolonged_equations(sys, r), columns, sys.params)
-        sys._cache[key] = (_echelon(matrix), columns)
+        sys._cache[key] = (rref(matrix), columns)
     return sys._cache[key]
 
 
@@ -239,12 +225,8 @@ def slice_at(sys: LinearSystem, r: int) -> JetSpaceSlice:
 
 
 def _equations_from_rref(result, columns) -> list[Equation]:
-    eqs = []
-    for i in range(len(result.pivots)):
-        row = result.matrix.entries[i]
-        terms = {columns[j]: row[j] for j in range(len(columns)) if row[j]}
-        eqs.append(Equation(terms))
-    return eqs
+    rows = result.matrix.sparse[: len(result.pivots)]
+    return [Equation({columns[j]: v for j, v in row.items()}) for row in rows]
 
 
 def prolong(sys: LinearSystem, r: int) -> LinearSystem:
@@ -395,7 +377,7 @@ def _symbol_rref(sys: LinearSystem, order: int):
     key = ("symbol", order)
     if key not in sys._cache:
         matrix, columns = symbol_matrix(sys, order)
-        sys._cache[key] = (_echelon(matrix), columns)
+        sys._cache[key] = (rref(matrix), columns)
     return sys._cache[key]
 
 

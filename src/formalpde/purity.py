@@ -149,30 +149,30 @@ def torsion_generators(sys: LinearSystem, r: int) -> list[TorsionElement]:
     vectors = []
     for jc in candidates:
         coeff, local_jet = loc.original_to_local(jc)
-        vectors.append([coeff * x for x in residues[local_jet]])
+        vectors.append({t: coeff * x for t, x in residues[local_jet].items()})
     # Kernel over QQ: expand every QQ(chi) coordinate into one row per
     # chi-monomial after clearing the denominators along that coordinate.
-    rows: list[list[Fraction]] = []
+    rows: list[dict] = []
     s = loc.params
     for target in range(len(loc_parametric)):
         den = Poly.one(s)
         for v in vectors:
-            e = v[target]
+            e = v.get(target)
             if e and e.den != Poly.one(s):
                 den = den * e.den
         cleared = []
         for v in vectors:
-            e = v[target]
+            e = v.get(target)
             cleared.append(e.num * den.div_exact(e.den) if e else Poly.zero(s))
         monomials = sorted({exp for p in cleared for exp in p.terms})
         for exp in monomials:
-            rows.append([p.terms.get(exp, Fraction(0)) for p in cleared])
+            rows.append({i: p.terms[exp] for i, p in enumerate(cleared) if exp in p.terms})
     from .ratlinalg import ExactMatrix, kernel_basis
 
-    kern = kernel_basis(ExactMatrix(rows, cols=len(candidates)))
+    kern = kernel_basis(ExactMatrix.from_rows(rows, len(candidates)))
     out = []
-    for b in range(kern.cols):
-        combo = [(candidates[i], kern.entries[i][b]) for i in range(len(candidates)) if kern.entries[i][b]]
+    for vec in kern.transpose().sparse:
+        combo = [(candidates[i], v) for i, v in vec.items()]
         if len(combo) == 1 and combo[0][1] == 1:
             jc = combo[0][0]
             label = f"z{z_index[jc]}"

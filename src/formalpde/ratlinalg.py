@@ -7,13 +7,16 @@ kernels) reduces to the rank/kernel computations here, so all arithmetic is
 exact and every result is deterministic: the reduced row echelon form is
 unique, so the pivot order cannot change it.
 
-Over QQ, rows are cleared of denominators and eliminated sparsely and
-fraction-free over the integers, each row kept primitive; that forward pass
-(:func:`pivot_columns`) is all a rank needs, and the RREF adds a sparse
-Gauss-Jordan back substitution.  Over a function field, matrices are
-eliminated fraction-free (Bareiss) after clearing denominators, then
-normalized to RREF with field divisions, so ranks over parameters are
-certified symbolically; no probabilistic shortcut is taken.
+A matrix is stored as sparse rows {column: nonzero entry} and nothing else;
+callers build those rows straight from their own sparse data, and the dense
+`ExactMatrix.entries` is a view built on first read.  Over QQ, rows are
+cleared of denominators and eliminated sparsely and fraction-free over the
+integers, each row kept primitive; that forward pass (:func:`pivot_columns`)
+is all a rank needs, and the RREF adds a sparse Gauss-Jordan back
+substitution.  Over a function field, the dense view is eliminated
+fraction-free (Bareiss) after clearing denominators, then normalized to RREF
+with field divisions, so ranks over parameters are certified symbolically; no
+probabilistic shortcut is taken.
 """
 
 from __future__ import annotations
@@ -440,42 +443,57 @@ class RrefResult:
 
         The basis vector for free column f has entry 1 at f and zeros at every
         other free column, which keeps downstream "parametric jet" choices
-        reproducible.
+        reproducible.  Pivot row i, zero at every other pivot, gives row
+        pivots[i] of the basis with its signs flipped.
         """
         m = self.matrix
         pivot_set = set(self.pivots)
-        free = [c for c in range(m.cols) if c not in pivot_set]
-        zero, one = m.zero(), m.one()
-        columns = []
-        for f in free:
-            v = [zero] * m.cols
-            v[f] = one
-            for i, p in enumerate(self.pivots):
-                e = m.entries[i][f]
-                if e:
-                    v[p] = -e
-            columns.append(v)
-        rows = [[columns[j][i] for j in range(len(free))] for i in range(m.cols)]
-        return ExactMatrix(rows, cols=len(free), params=m.params)
+        position = {f: b for b, f in enumerate(c for c in range(m.cols) if c not in pivot_set)}
+        one = m.one()
+        rows = [{position[c]: one} if c in position else {} for c in range(m.cols)]
+        for p, row in zip(self.pivots, m.sparse):
+            rows[p] = {position[c]: -v for c, v in row.items() if c != p}
+        return ExactMatrix.from_rows(rows, len(position), m.params)
 
 
 class ExactMatrix:
-    """Dense rectangular matrix over QQ (params == 0) or QQ(chi_1..chi_s)."""
+    """Rectangular matrix over QQ (params == 0) or QQ(chi_1..chi_s).
 
-    __slots__ = ("rows", "cols", "entries", "params")
+    `sparse` holds the rows as dicts {column: nonzero entry}, a zero row being
+    empty; it is the only storage and is never mutated.  The dense tuple
+    `entries` is a view built on first read and then kept.
+    """
+
+    __slots__ = ("sparse", "rows", "cols", "params", "_entries")
 
     def __init__(self, entries: Sequence[Sequence[Entry]], cols: int | None = None, params: int = 0):
-        rows = [tuple(r) for r in entries]
-        if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
+        dense = [tuple(r) for r in entries]
+        if dense:
+            cols = len(dense[0])
+            if any(len(r) != cols for r in dense):
                 raise ValueError("ragged matrix")
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        self.entries = tuple(rows)
-        self.rows = len(rows)
-        self.cols = cols
-        self.params = params
+        self._store([{c: v for c, v in enumerate(r) if v} for r in dense], cols, params)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[dict], cols: int, params: int = 0) -> "ExactMatrix":
+        """The matrix with the given sparse rows {column: nonzero entry}."""
+        matrix = cls.__new__(cls)
+        matrix._store(rows, cols, params)
+        return matrix
+
+    def _store(self, rows, cols: int, params: int) -> None:
+        self.sparse = tuple(rows)
+        self.rows, self.cols, self.params = len(self.sparse), cols, params
+        self._entries = None
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            zero = self.zero()
+            self._entries = tuple(tuple(row.get(c, zero) for c in range(self.cols)) for row in self.sparse)
+        return self._entries
 
     def zero(self) -> Entry:
         return ParamScalar.zero(self.params) if self.params else Fraction(0)
@@ -483,35 +501,32 @@ class ExactMatrix:
     def one(self) -> Entry:
         return ParamScalar.one(self.params) if self.params else Fraction(1)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
-        )
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.sparse == other.sparse
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.zero()
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a:
-                        acc = acc + a * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(out, cols=other.cols, params=self.params)
+        for row in self.sparse:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other.sparse[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return ExactMatrix.from_rows(out, other.cols, self.params)
+
+    def transpose(self) -> "ExactMatrix":
+        columns = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for c, v in row.items():
+                columns[c][i] = v
+        return ExactMatrix.from_rows(columns, self.rows, self.params)
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
+        return not any(self.sparse)
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -521,11 +536,6 @@ def integer_row(row: dict) -> dict:
     """The sparse rational row {col: value} times the lcm of its denominators."""
     den = math.lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-
-
-def _sparse_rows(matrix: ExactMatrix):
-    """The rows of a QQ matrix as sparse integer rows, one at a time."""
-    return (integer_row({c: v for c, v in enumerate(row) if v}) for row in matrix.entries)
 
 
 def _primitive(row: dict) -> dict:
@@ -574,18 +584,14 @@ def pivot_columns(rows) -> tuple[int, ...]:
 def _rref_rational(matrix: ExactMatrix) -> tuple[list, list[int]]:
     """Integer echelon form, back substitution from the last pivot up (rows
     below are already reduced, so each step clears one column), then one
-    division per entry."""
-    basis = _echelon_int(_sparse_rows(matrix))
+    division per entry.  Zero rows stay, as one shared empty row."""
+    basis = _echelon_int(map(integer_row, matrix.sparse))
     pivots = sorted(basis)
     for p in reversed(pivots):
         for c in [c for c in basis[p] if c != p and c in basis]:
             basis[p] = _eliminate(basis[p], basis[c], c)
-    zero = Fraction(0)
-    rows = [[zero] * matrix.cols for _ in pivots]
-    for dense, p in zip(rows, pivots):
-        for c, v in basis[p].items():
-            dense[c] = Fraction(v, basis[p][p])
-    rows.extend([(zero,) * matrix.cols] * (matrix.rows - len(pivots)))
+    rows = [{c: Fraction(v, basis[p][p]) for c, v in sorted(basis[p].items())} for p in pivots]
+    rows.extend([{}] * (matrix.rows - len(pivots)))
     return rows, pivots
 
 
@@ -606,8 +612,9 @@ def _clear_denominators(row: Sequence[ParamScalar], nparams: int) -> list[Poly]:
     return out
 
 
-def _rref_param(matrix: ExactMatrix) -> tuple[list[list[ParamScalar]], list[int]]:
-    """Fraction-free (Bareiss) forward elimination, then field normalization."""
+def _rref_param(matrix: ExactMatrix) -> tuple[list[dict], list[int]]:
+    """Fraction-free (Bareiss) forward elimination of the dense view, then
+    field normalization."""
     s = matrix.params
     m: list[list[Poly]] = [_clear_denominators(row, s) for row in matrix.entries]
     nrows, ncols = len(m), matrix.cols
@@ -644,7 +651,7 @@ def _rref_param(matrix: ExactMatrix) -> tuple[list[list[ParamScalar]], list[int]
             f = field_rows[j][c]
             if f:
                 field_rows[j] = [a - f * b if b else a for a, b in zip(field_rows[j], field_rows[i])]
-    return field_rows, pivots
+    return [{c: v for c, v in enumerate(row) if v} for row in field_rows], pivots
 
 
 def rref(matrix: ExactMatrix) -> RrefResult:
@@ -652,11 +659,11 @@ def rref(matrix: ExactMatrix) -> RrefResult:
     if matrix.rows == 0:
         return RrefResult(matrix, ())
     rows, pivots = (_rref_param if matrix.params else _rref_rational)(matrix)
-    return RrefResult(ExactMatrix(rows, cols=matrix.cols, params=matrix.params), tuple(pivots))
+    return RrefResult(ExactMatrix.from_rows(rows, matrix.cols, matrix.params), tuple(pivots))
 
 
 def rank(matrix: ExactMatrix) -> int:
-    return len(rref(matrix).pivots if matrix.params else pivot_columns(_sparse_rows(matrix)))
+    return len(rref(matrix).pivots if matrix.params else pivot_columns(map(integer_row, matrix.sparse)))
 
 
 def kernel_basis(matrix: ExactMatrix) -> ExactMatrix:

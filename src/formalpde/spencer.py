@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import jetspace as js
 from .jetspace import JetCoordinate
 from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, change_coordinates
-from .ratlinalg import ExactMatrix, integer_row, pivot_columns, rank
+from .ratlinalg import ExactMatrix, rank
 
 # random unimodular frames tried after the identity frame fails Cartan's test
 N_FRAMES = 25
@@ -151,8 +151,10 @@ def _delta_columns(sys: LinearSystem, s: int, order: int):
             src = hi_cols.get(JetCoordinate(jc.k, tuple(e + (p == i - 1) for p, e in enumerate(jc.mu))))
             if src is not None:
                 lowering.setdefault(src, []).append((i, t))
-    basis = g_hi.basis.entries
-    supports = [[(src, basis[src][b]) for src in lowering if basis[src][b]] for b in range(g_hi.dim)]
+    supports = [[] for _ in range(g_hi.dim)]
+    for src in lowering:
+        for b, v in g_hi.basis.sparse[src].items():
+            supports[b].append((src, v))
     cod_index = {J: ci for ci, J in enumerate(_exterior_basis(n, s + 1))}
     for I in _exterior_basis(n, s):
         # row offset of the block J = I + {i}, and whether dx^i wedge dx^I = +dx^J
@@ -171,24 +173,18 @@ def _delta_columns(sys: LinearSystem, s: int, order: int):
 
 
 def delta_matrix(sys: LinearSystem, s: int, order: int) -> ExactMatrix:
-    """Matrix of delta: Lambda^s (x) g_order -> Lambda^{s+1} (x) g_{order-1}.
-
-    The dense form of :func:`_delta_columns`; ranks of QQ maps never build it.
-    """
-    columns, zero = list(_delta_columns(sys, s, order)), sys.zero()
+    """Matrix of delta: Lambda^s (x) g_order -> Lambda^{s+1} (x) g_{order-1},
+    the sparse columns of :func:`_delta_columns` turned into sparse rows."""
     rows = _lambda_dim(sys.n, s + 1) * symbol_dim(sys, order - 1)
-    entries = [[column.get(r, zero) for column in columns] for r in range(rows)]
-    return ExactMatrix(entries, cols=len(columns), params=sys.params)
+    return ExactMatrix.from_rows(list(_delta_columns(sys, s, order)), rows, sys.params).transpose()
 
 
 def _delta_rank(sys: LinearSystem, s: int, order: int) -> int:
-    """Rank of delta at Lambda^s (x) g_order, memoised in the system's cache."""
+    """Rank of :func:`delta_matrix` at Lambda^s (x) g_order, over either
+    field, memoised in the system's cache."""
     key = ("delta_rank", s, order)
     if key not in sys._cache:
-        if sys.params:
-            sys._cache[key] = rank(delta_matrix(sys, s, order))
-        else:  # the rank of the transpose: the sparse columns go in as rows
-            sys._cache[key] = len(pivot_columns(map(integer_row, _delta_columns(sys, s, order))))
+        sys._cache[key] = rank(delta_matrix(sys, s, order))
     return sys._cache[key]
 
 

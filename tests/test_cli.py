@@ -10,6 +10,7 @@ from formalpde import corpus
 from formalpde.completion import complete
 from formalpde.cli import (
     EXIT_CORPUS_MISMATCH,
+    EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -235,3 +236,26 @@ def test_cli_internal_error_exit_code(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["internal error: RuntimeError: boom"]
+
+
+@pytest.mark.parametrize("text", ["vars=1; eq: y[]=0", "vars=2; eq: y[1,1]=0; eq: y[]=0"])
+def test_cli_analyze_order_zero_equation(text, tmp_path, capsys):
+    # a generator of degree 0 has no principal-class series to compare with
+    f = tmp_path / "zero.pde"
+    f.write_text(text, encoding="utf-8")
+    assert main(["--report", "json", "analyze", str(f)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert "principal_class_series" not in report["hilbert"]
+
+
+@pytest.mark.parametrize("command", ["purity", "inverse"])
+def test_cli_inconclusive_completion_exit_code(command, tmp_path, capsys):
+    f = tmp_path / "window.pde"
+    f.write_text("vars=3; unknowns=2; eq: z2[1,1]=0; eq: z1[1,3]-z2[]=0; eq: z1[]=0;", encoding="utf-8")
+    assert main(["--report", "json", "analyze", str(f)]) == EXIT_INCONCLUSIVE
+    assert json.loads(capsys.readouterr().out)["completion"]["verdict"] == "window_inconclusive"
+    assert main(["--report", "json", command, str(f)]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("inconclusive: completion inconclusive")

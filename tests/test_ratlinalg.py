@@ -345,3 +345,79 @@ def test_sparse_rref_matches_dense_oracle(data):
             den = den * x.denominator // math.gcd(den, x.denominator)
         cleared.append({c: int(x * den) for c, x in enumerate(r) if x})
     assert pivot_columns(cleared) == result.pivots
+
+
+def _chi_entry(parts):
+    a, b, over = parts
+    den = Poly(1, {(0,): 1, (1,): 1}) if over else None
+    return ParamScalar(Poly(1, {(0,): a, (1,): b}), den)
+
+
+# a + b*chi, or that over chi + 1: one QQ(chi) family, zero included
+_CHI_ENTRIES = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.booleans()).map(_chi_entry)
+
+
+@st.composite
+def _matrices(draw):
+    """(rows, ncols, params): a matrix of `_qq_matrices`, or a small QQ(chi) one."""
+    if draw(st.booleans()):
+        return (*draw(_qq_matrices()), 0)
+    ncols = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(_CHI_ENTRIES, min_size=ncols, max_size=ncols), max_size=4))
+    return rows, ncols, 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_sparse_rows_are_the_matrix(data):
+    rows, ncols, params = data
+    m = ExactMatrix(rows, cols=ncols, params=params)
+    sparse = [{c: v for c, v in enumerate(r) if v} for r in rows]
+    assert list(m.sparse) == sparse
+    assert m == ExactMatrix.from_rows(sparse, ncols, params)
+    assert (m.rows, m.cols, m.params) == (len(rows), ncols, params)
+    # the dense view round-trips, and is built once
+    assert [list(r) for r in m.entries] == rows
+    assert m.entries is m.entries
+    assert ExactMatrix(m.entries, cols=ncols, params=params) == m
+    assert [list(r) for r in m.transpose().entries] == [[r[c] for r in rows] for c in range(ncols)]
+
+
+@st.composite
+def _products(draw):
+    params = draw(st.integers(0, 1))
+    entry = _CHI_ENTRIES if params else _QQ_ENTRIES
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    a = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(r)]
+    b = [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(k)]
+    return ExactMatrix(a, cols=k, params=params), ExactMatrix(b, cols=c, params=params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_products())
+def test_product_matches_dense_oracle(pair):
+    a, b = pair
+    zero = a.zero()
+    expected = [
+        [sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), zero) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+    product = a @ b
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert [list(r) for r in product.entries] == expected
+    assert product.is_zero() == all(not x for r in expected for x in r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_kernel_is_annihilated_and_identity_on_free_columns(data):
+    rows, ncols, params = data
+    m = ExactMatrix(rows, cols=ncols, params=params)
+    result = rref(m)
+    kernel = kernel_basis(m)
+    assert kernel == result.kernel()
+    free = [c for c in range(ncols) if c not in result.pivots]
+    assert (kernel.rows, kernel.cols) == (ncols, len(free))
+    assert (m @ kernel).is_zero()
+    identity = [[F(f == g) for g in free] for f in free]
+    assert [[kernel.entries[f][b] for b in range(len(free))] for f in free] == identity
