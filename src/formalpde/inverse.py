@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import jetspace as js
 from .jetspace import JetCoordinate
 from .pdesystem import LinearSystem, _full_rref, slice_at, stable_order
-from .ratlinalg import ExactMatrix, ParamScalar, kernel_basis, rref
+from .ratlinalg import ExactMatrix, ParamScalar, kernel_basis, rank, rref
 
 SPENCER_SIGN_NOTE = "Spencer operator taken with Macaulay's sign: (d_i f)_mu = f_{mu+1_i}"
 
@@ -196,20 +196,23 @@ def multiplication_matrices(sys: LinearSystem):
     """Matrices of d_1..d_n acting on M over its parametric-jet basis.
 
     Returns (matrices, basis jets); column j of matrix i is the residue of
-    d_i applied to basis jet j.
+    d_i applied to basis jet j.  Memoised as ``("multiplication",)``.
     """
-    o = _stabilized_order(sys)
-    residues, parametric = residue_map(sys, o + 1)
-    basis_jets = [jc for jc in parametric if js.order_of(jc.mu) <= o]  # a prefix
-    width = len(basis_jets)
-    mats = []
-    for i in range(1, sys.n + 1):
-        cols = []
-        for jc in basis_jets:
-            up = tuple(e + (1 if t == i - 1 else 0) for t, e in enumerate(jc.mu))
-            cols.append({t: v for t, v in residues[JetCoordinate(jc.k, up)].items() if t < width})
-        mats.append(ExactMatrix.from_rows(cols, width, sys.params).transpose())
-    return mats, basis_jets
+    key = ("multiplication",)
+    if key not in sys._cache:
+        o = _stabilized_order(sys)
+        residues, parametric = residue_map(sys, o + 1)
+        basis_jets = [jc for jc in parametric if js.order_of(jc.mu) <= o]  # a prefix
+        width = len(basis_jets)
+        mats = []
+        for i in range(1, sys.n + 1):
+            cols = []
+            for jc in basis_jets:
+                up = tuple(e + (1 if t == i - 1 else 0) for t, e in enumerate(jc.mu))
+                cols.append({t: v for t, v in residues[JetCoordinate(jc.k, up)].items() if t < width})
+            mats.append(ExactMatrix.from_rows(cols, width, sys.params).transpose())
+        sys._cache[key] = (tuple(mats), tuple(basis_jets))
+    return sys._cache[key]
 
 
 def socle(sys: LinearSystem):
@@ -224,7 +227,7 @@ def socle(sys: LinearSystem):
 
 
 def _span_rank(vectors, width: int, params: int) -> int:
-    return len(rref(ExactMatrix.from_rows(vectors, width, params)).pivots)
+    return rank(ExactMatrix.from_rows(vectors, width, params))
 
 
 def derivative_closure_dimension(sys: LinearSystem, seed_jets) -> int:
@@ -281,15 +284,16 @@ def generating_sections(sys: LinearSystem) -> list[ModularEquation]:
                 chosen.append(jc)
                 break
     total = len(parametric)
-    if derivative_closure_dimension(sys, chosen) == total:
+    current = derivative_closure_dimension(sys, chosen)
+    if current == total:
         return gens
     for jc in reversed(parametric):
         if jc in chosen:
             continue
-        trial = chosen + [jc]
-        if derivative_closure_dimension(sys, trial) > derivative_closure_dimension(sys, chosen):
-            chosen = trial
-            if derivative_closure_dimension(sys, chosen) == total:
+        grown = derivative_closure_dimension(sys, chosen + [jc])
+        if grown > current:
+            chosen, current = chosen + [jc], grown
+            if current == total:
                 break
     by_jet = _lifts(section_basis(sys, o + 1), parametric)
     chosen.sort(key=js.display_key)

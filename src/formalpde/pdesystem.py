@@ -73,8 +73,11 @@ class LinearSystem:
     ``("delta_rank", s, order)`` the rank of delta on Lambda^s (x) g_order;
     ``("involution", order, seed)`` the involution test; ``("complete",
     max_steps)`` a weak reference to the completion report, which may name the
-    system itself.  Entries depend only on the equations, so a system must
-    never be mutated; every transformation returns a new system.
+    system itself; ``("localize", r)`` the system localized at codimension r
+    (not the `LocalizedSystem`, whose `origin` would make a cycle);
+    ``("multiplication",)`` the matrices of d_1..d_n on M with their basis.
+    Entries depend only on the equations, so a system must never be mutated;
+    every transformation returns a new system.
     """
 
     __slots__ = ("n", "m", "equations", "params", "var_offset", "_cache")

@@ -83,27 +83,31 @@ def localize(sys: LinearSystem, r: int) -> LocalizedSystem:
 
     Requires a completed system: the class-killing behaviour of the
     localization relies on the compatibility equations already being present.
+    The localized system is memoised as ``("localize", r)`` in the cache of
+    `sys`, so its own memo serves every later localization at r.
     """
     if not 0 <= r <= sys.n:
         raise ValueError("localization codimension out of range")
     if sys.params:
         raise ValueError("system is already localized")
-    if not is_completed(sys):
-        raise ValueError("system must be completed before localization")
     s = sys.n - r
-    if s == 0:  # the identity: no parameters, so keep the QQ system and its memo
-        return LocalizedSystem(0, r, sys, sys)
-    eqs = []
-    for e in sys.equations:
-        terms: dict = {}
-        for jc, c in e.terms.items():
-            prefix = jc.mu[:s]
-            local = JetCoordinate(jc.k, jc.mu[s:])
-            add = ParamScalar(Poly(s, {prefix: Fraction(c)}))
-            terms[local] = terms.get(local, ParamScalar.zero(s)) + add
-        eqs.append(Equation(terms))
-    local_sys = LinearSystem(r, sys.m, eqs, params=s, var_offset=s)
-    return LocalizedSystem(s, r, local_sys, sys)
+    key = ("localize", r)
+    if key not in sys._cache:
+        if not is_completed(sys):
+            raise ValueError("system must be completed before localization")
+        if s == 0:  # the identity: no parameters, so keep the QQ system and its memo
+            return LocalizedSystem(0, r, sys, sys)
+        eqs = []
+        for e in sys.equations:
+            terms: dict = {}
+            for jc, c in e.terms.items():
+                prefix = jc.mu[:s]
+                local = JetCoordinate(jc.k, jc.mu[s:])
+                add = ParamScalar(Poly(s, {prefix: Fraction(c)}))
+                terms[local] = terms.get(local, ParamScalar.zero(s)) + add
+            eqs.append(Equation(terms))
+        sys._cache[key] = LinearSystem(r, sys.m, eqs, params=s, var_offset=s)
+    return LocalizedSystem(s, r, sys._cache[key], sys)
 
 
 def localized_dimension(loc: LocalizedSystem) -> int:

@@ -8,15 +8,17 @@ exact and every result is deterministic: the reduced row echelon form is
 unique, so the pivot order cannot change it.
 
 A matrix is stored as sparse rows {column: nonzero entry} and nothing else;
-callers build those rows straight from their own sparse data, and the dense
-`ExactMatrix.entries` is a view built on first read.  Over QQ, rows are
-cleared of denominators and eliminated sparsely and fraction-free over the
-integers, each row kept primitive; that forward pass (:func:`pivot_columns`)
-is all a rank needs, and the RREF adds a sparse Gauss-Jordan back
-substitution.  Over a function field, the dense view is eliminated
-fraction-free (Bareiss) after clearing denominators, then normalized to RREF
-with field divisions, so ranks over parameters are certified symbolically; no
-probabilistic shortcut is taken.
+callers build those rows straight from their own sparse data, and no module
+here reads the dense view `ExactMatrix.entries`.  Over QQ, rows are cleared
+of denominators and eliminated sparsely and fraction-free over the integers,
+each row kept primitive; that forward pass (:func:`pivot_columns`) is all a
+rank needs, and the RREF adds a sparse Gauss-Jordan back substitution.  Over
+a function field, rows are cleared to polynomials with integer coefficients
+and eliminated row by row with fraction-free (Bareiss) steps whose divisions
+are exact; a rank is that forward pass, and the RREF adds a fraction-free
+back substitution on the pivot rows and one field division per entry.  So
+ranks over parameters are certified symbolically; no probabilistic shortcut
+is taken.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 Scalar = Fraction
@@ -95,35 +98,16 @@ class Poly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other: "Poly") -> "Poly":
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return Poly(self.nvars, terms)
+        return self - (-self._coerce(other))
 
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-self._coerce(other))
+        return Poly(self.nvars, _psub(self.terms, self._coerce(other).terms))
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly(self.nvars, terms)
+        return Poly(self.nvars, _pmul(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -461,7 +445,8 @@ class ExactMatrix:
 
     `sparse` holds the rows as dicts {column: nonzero entry}, a zero row being
     empty; it is the only storage and is never mutated.  The dense tuple
-    `entries` is a view built on first read and then kept.
+    `entries` is a view built on first read and then kept; no module of the
+    package reads it, only tests and the benchmark's tracer do.
     """
 
     __slots__ = ("sparse", "rows", "cols", "params", "_entries")
@@ -595,63 +580,159 @@ def _rref_rational(matrix: ExactMatrix) -> tuple[list, list[int]]:
     return rows, pivots
 
 
-def _clear_denominators(row: Sequence[ParamScalar], nparams: int) -> list[Poly]:
-    d = Poly.one(nparams)
-    for e in row:
-        if e and e.den != Poly.one(nparams):
-            d = d * e.den
-    out = []
-    for e in row:
-        if not e:
-            out.append(Poly.zero(nparams))
+def _pmul(a: dict, b: dict) -> dict:
+    """Product of two polynomials {exponent tuple: nonzero coefficient}."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:  # a monomial: the terms of b do not collide
+        ((ea, ca),) = a.items()
+        if not any(ea):
+            return {e: ca * cb for e, cb in b.items()}
+        return {tuple(map(add, ea, e)): ca * cb for e, cb in b.items()}
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _psub(a: dict, b: dict) -> dict:
+    """Difference of two polynomials {exponent tuple: nonzero coefficient}."""
+    out = dict(a)
+    for e, c in b.items():
+        x = out.get(e, 0) - c
+        if x:
+            out[e] = x
         else:
-            out.append(e.num * d.div_exact(e.den))
-    c = _fraction_gcd(v for p in out for v in p.terms.values())
-    if c and c != 1:
-        out = [Poly(nparams, {ex: v / c for ex, v in p.terms.items()}) for p in out]
+            del out[e]
     return out
 
 
-def _rref_param(matrix: ExactMatrix) -> tuple[list[dict], list[int]]:
-    """Fraction-free (Bareiss) forward elimination of the dense view, then
-    field normalization."""
-    s = matrix.params
-    m: list[list[Poly]] = [_clear_denominators(row, s) for row in matrix.entries]
-    nrows, ncols = len(m), matrix.cols
-    pivots: list[int] = []
-    prev = Poly.one(s)
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        p = m[r][c]
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            # Bareiss update: every entry is a minor, so division by the
-            # previous pivot is exact.
-            m[i] = [(p * a - f * b).div_exact(prev) for a, b in zip(m[i], m[r])]
-        prev = p
-        pivots.append(c)
-        r += 1
-    # Normalize the echelon form to RREF in the fraction field.
-    field_rows: list[list[ParamScalar]] = []
-    for i in range(nrows):
-        if i < len(pivots):
-            p = m[i][pivots[i]]
-            field_rows.append([ParamScalar(e, p) for e in m[i]])
+def _pdiv(a: dict, b: dict) -> dict:
+    """Exact quotient a / b of integer polynomials, by leading terms in lex order."""
+    if len(b) == 1:
+        ((eb, cb),) = b.items()
+        if cb == 1 and not any(eb):
+            return a
+        out = {}
+        for e, c in a.items():
+            q, r = divmod(c, cb)
+            if any(eb):
+                e = tuple(map(sub, e, eb))
+            if r or min(e) < 0:
+                raise ValueError("inexact polynomial division")
+            out[e] = q
+        return out
+    lead = max(b)
+    quot = {}
+    rem = dict(a)
+    while rem:
+        e = max(rem)
+        q, r = divmod(rem[e], b[lead])
+        qe = tuple(map(sub, e, lead))
+        if r or min(qe) < 0:
+            raise ValueError("inexact polynomial division")
+        quot[qe] = q
+        rem = _psub(rem, _pmul({qe: q}, b))
+    return quot
+
+
+def _integer_poly_row(row: dict) -> dict:
+    """The sparse QQ(chi) row {col: ParamScalar} times a common denominator,
+    as {col: integer polynomial {exponent tuple: int}} of integer content one."""
+    keys = {c: frozenset(v.den.terms.items()) for c, v in row.items()}
+    # a primitive denominator with positive leading coefficient is 1 if constant
+    dens = {keys[c]: v.den.terms for c, v in row.items() if not v.den.is_constant()}
+    out = {}
+    for c, v in row.items():
+        p = v.num.terms
+        for key, d in dens.items():
+            if key != keys[c]:
+                p = _pmul(p, d)
+        out[c] = p
+    den = math.lcm(*(x.denominator for p in out.values() for x in p.values()))
+    ints = {c: {e: x.numerator * (den // x.denominator) for e, x in p.items()} for c, p in out.items()}
+    g = math.gcd(*(x for p in ints.values() for x in p.values()))
+    return ints if g == 1 else {c: {e: x // g for e, x in p.items()} for c, p in ints.items()}
+
+
+def _combine(a: dict | None, row: dict, f: dict, b: dict) -> dict:
+    """a*row - f*b over the union of the supports of two integer-polynomial
+    rows; a None stands for 1."""
+    out = {}
+    for x in row.keys() | b.keys():
+        v, w = row.get(x), b.get(x)
+        if v is None:
+            t = {}
         else:
-            field_rows.append([ParamScalar.zero(s) for _ in range(ncols)])
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        for j in range(i):
-            f = field_rows[j][c]
-            if f:
-                field_rows[j] = [a - f * b if b else a for a, b in zip(field_rows[j], field_rows[i])]
-    return [{c: v for c, v in enumerate(row) if v} for row in field_rows], pivots
+            t = v if a is None else _pmul(a, v)
+        if w is not None:
+            t = _psub(t, _pmul(f, w))
+        if t:
+            out[x] = t
+    return out
+
+
+def _bareiss_step(row: dict, b: dict, c: int, prev: dict | None) -> dict:
+    """(p*row - row[c]*b) / prev with p = b[c] (prev None: no division).  The
+    division is exact: every entry before and after is a minor of the
+    cleared matrix."""
+    p, f = b[c], row.get(c)
+    out = {x: _pmul(p, v) for x, v in row.items()} if f is None else _combine(p, row, f, b)
+    return out if prev is None else {x: _pdiv(t, prev) for x, t in out.items()}
+
+
+def _echelon_param(rows) -> list[tuple[int, dict]]:
+    """Row-wise fraction-free (Bareiss) forward elimination over integer
+    polynomials: [(pivot column, row)] in insertion order.
+
+    Each row is reduced against every basis row in turn, scaled even where it
+    is already zero at that row's pivot, so it always holds minors.  A row that
+    vanishes is dropped; a surviving one is zero at every earlier pivot and
+    joins with its leading column, so as in :func:`_echelon_int` the pivots
+    are those of the RREF.
+    """
+    basis: list[tuple[int, dict]] = []
+    for row in rows:
+        prev = None
+        for c, b in basis:
+            row = _bareiss_step(row, b, c, prev)
+            if not row:
+                break
+            prev = b[c]
+        if row:
+            basis.append((min(row), row))
+    return basis
+
+
+def _rref_param(matrix: ExactMatrix) -> tuple[list[dict], list[int]]:
+    """Integer-polynomial echelon form, then fraction-free back substitution
+    on the pivot rows only, each entry divided once by the last pivot, the
+    determinant d of the pivot minor.  Zero rows stay, as one shared empty row.
+
+    From the last basis row up, G_i = (d*B_i - sum_{j>i} B_i[c_j]*G_j) / p_i,
+    exact since G_i, d times RREF row i, holds cofactors of that minor."""
+    basis = _echelon_param(map(_integer_poly_row, matrix.sparse))
+    if not basis:
+        return [{}] * matrix.rows, []
+    *rest, (c, last) = basis
+    det = last[c]
+    reduced = {c: last}
+    for c, b in reversed(rest):
+        row = {x: _pmul(det, v) for x, v in b.items()}
+        for cj, g in reduced.items():
+            if cj in b:
+                row = _combine(None, row, b[cj], g)
+        reduced[c] = {x: _pdiv(t, b[c]) for x, t in row.items()}
+    s = matrix.params
+    den, one = Poly(s, det), ParamScalar.one(s)
+    rows = [
+        {x: one if x == c else ParamScalar(Poly(s, t), den) for x, t in sorted(reduced[c].items())}
+        for c in sorted(reduced)
+    ]
+    rows.extend([{}] * (matrix.rows - len(rows)))
+    return rows, sorted(reduced)
 
 
 def rref(matrix: ExactMatrix) -> RrefResult:
@@ -663,7 +744,9 @@ def rref(matrix: ExactMatrix) -> RrefResult:
 
 
 def rank(matrix: ExactMatrix) -> int:
-    return len(rref(matrix).pivots if matrix.params else pivot_columns(map(integer_row, matrix.sparse)))
+    if matrix.params:
+        return len(_echelon_param(map(_integer_poly_row, matrix.sparse)))
+    return len(pivot_columns(map(integer_row, matrix.sparse)))
 
 
 def kernel_basis(matrix: ExactMatrix) -> ExactMatrix:

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import CORPUS_TEXTS
 from formalpde import jetspace as js
 from formalpde.completion import complete
+from formalpde.parser import parse
 from formalpde.pdesystem import CoordinateChange, change_coordinates, prolong
 from formalpde.purity import (
     is_pure,
@@ -213,3 +215,43 @@ def test_localized_generator_third_curve(corpus_systems):
     # the classical answer continues chi_1^2 * a^{22222} + ...; only the two
     # displayed leading terms are pinned
     assert body.startswith("a^{233} + (χ_1)*a^{2223}")
+
+
+@pytest.mark.parametrize(
+    "name, frame, r",
+    [
+        ("example8", ((1, 0, -1), (0, 1, 0), (0, 0, 1)), 1),
+        ("example4", None, 2),
+        ("example6_third", None, 2),
+    ],
+)
+def test_torsion_after_localized_dimension_repeats_no_elimination(monkeypatch, name, frame, r):
+    # the localized system is memoised on the completed system, so the
+    # torsion search reuses every QQ(chi) elimination the dimension made
+    from formalpde import completion, hilbert, inverse, pdesystem, purity, ratlinalg, spencer
+
+    sys = parse(CORPUS_TEXTS[name]).system  # fresh, with an empty memo
+    sys = framed(sys, frame) if frame else complete(sys).final_system
+    eliminated = []
+    rref_param, rank = ratlinalg._rref_param, ratlinalg.rank
+
+    def key(matrix):
+        return matrix.cols, tuple(tuple(sorted((c, str(v)) for c, v in row.items())) for row in matrix.sparse)
+
+    def recorded_rref(matrix):
+        eliminated.append(key(matrix))
+        return rref_param(matrix)
+
+    def recorded_rank(matrix):
+        if matrix.params:
+            eliminated.append(key(matrix))
+        return rank(matrix)
+
+    monkeypatch.setattr(ratlinalg, "_rref_param", recorded_rref)
+    for module in (completion, hilbert, inverse, pdesystem, purity, ratlinalg, spencer):
+        if getattr(module, "rank", None) is rank:
+            monkeypatch.setattr(module, "rank", recorded_rank)
+    localized_dimension(localize(sys, r))
+    assert eliminated, "the localized dimension eliminates over QQ(chi)"
+    torsion_generators(sys, r)
+    assert len(set(eliminated)) == len(eliminated)

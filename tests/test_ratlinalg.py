@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from formalpde.ratlinalg import (
     ExactMatrix,
     ParamScalar,
     Poly,
+    _fraction_gcd,
     kernel_basis,
     pivot_columns,
     poly_gcd,
@@ -69,6 +71,70 @@ def oracle_rref(rows, ncols):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return m, pivots
+
+
+# --- independent oracle for QQ(chi): the former dense Bareiss kernel --------
+# Column-wise fraction-free elimination of the dense view with row swaps,
+# then field normalization with ParamScalar arithmetic; it shares nothing
+# with the sparse row-wise kernel of `rref` but the scalar types.
+
+def _clear_denominators(row: Sequence[ParamScalar], nparams: int) -> list[Poly]:
+    d = Poly.one(nparams)
+    for e in row:
+        if e and e.den != Poly.one(nparams):
+            d = d * e.den
+    out = []
+    for e in row:
+        if not e:
+            out.append(Poly.zero(nparams))
+        else:
+            out.append(e.num * d.div_exact(e.den))
+    c = _fraction_gcd(v for p in out for v in p.terms.values())
+    if c and c != 1:
+        out = [Poly(nparams, {ex: v / c for ex, v in p.terms.items()}) for p in out]
+    return out
+
+
+def _rref_param(matrix: ExactMatrix) -> tuple[list[dict], list[int]]:
+    """Fraction-free (Bareiss) forward elimination of the dense view, then
+    field normalization."""
+    s = matrix.params
+    m: list[list[Poly]] = [_clear_denominators(row, s) for row in matrix.entries]
+    nrows, ncols = len(m), matrix.cols
+    pivots: list[int] = []
+    prev = Poly.one(s)
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        p = m[r][c]
+        for i in range(r + 1, nrows):
+            f = m[i][c]
+            # Bareiss update: every entry is a minor, so division by the
+            # previous pivot is exact.
+            m[i] = [(p * a - f * b).div_exact(prev) for a, b in zip(m[i], m[r])]
+        prev = p
+        pivots.append(c)
+        r += 1
+    # Normalize the echelon form to RREF in the fraction field.
+    field_rows: list[list[ParamScalar]] = []
+    for i in range(nrows):
+        if i < len(pivots):
+            p = m[i][pivots[i]]
+            field_rows.append([ParamScalar(e, p) for e in m[i]])
+        else:
+            field_rows.append([ParamScalar.zero(s) for _ in range(ncols)])
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        for j in range(i):
+            f = field_rows[j][c]
+            if f:
+                field_rows[j] = [a - f * b if b else a for a, b in zip(field_rows[j], field_rows[i])]
+    return [{c: v for c, v in enumerate(row) if v} for row in field_rows], pivots
 
 
 # The sixteen third-order symbol equations of the four-variable flagship
@@ -421,3 +487,57 @@ def test_kernel_is_annihilated_and_identity_on_free_columns(data):
     assert (m @ kernel).is_zero()
     identity = [[F(f == g) for g in free] for f in free]
     assert [[kernel.entries[f][b] for b in range(len(free))] for f in free] == identity
+
+
+def _chi2(a, b, c):
+    return Poly(2, {(0, 0): a, (1, 0): b, (0, 1): c})
+
+
+_CHI2_NUMERATORS = st.builds(
+    lambda a, b, j: _chi2(a, b, 0) if j else _chi2(a, 0, b),
+    st.sampled_from((-2, -1, 1, 2)),
+    st.integers(-2, 2),
+    st.booleans(),
+)
+
+
+@st.composite
+def _chi2_matrices(draw):
+    """Sparse QQ(chi_1, chi_2) matrices up to 6x6 with entries a + b*chi_j and,
+    in up to two columns, (a + b*chi_j)/d for d = chi_2 + c (c drawn once per
+    matrix) or 1 + chi_1; plus inserted zero, repeated and parametrically
+    scaled rows, up to 8 rows.  Two denominators a row at most keep the
+    dense oracle fast: it multiplies a row by every denominator in it."""
+    ncols = draw(st.integers(0, 6))
+    over = draw(st.sets(st.integers(0, 5), max_size=2))
+    dens = st.sampled_from((None, _chi2(draw(st.integers(-2, 2)), 0, 1), _chi2(1, 1, 0)))
+    zero = st.just(ParamScalar.zero(2))
+    entries = [
+        st.one_of(zero, st.builds(ParamScalar, _CHI2_NUMERATORS, dens if c in over else st.none()))
+        for c in range(ncols)
+    ]
+    rows = draw(st.lists(st.tuples(*entries).map(list), max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("zero", "repeat", "scaled")))
+        if kind == "zero" or not rows:
+            new = [ParamScalar.zero(2)] * ncols
+        elif kind == "repeat":
+            new = list(draw(st.sampled_from(rows)))
+        else:
+            factor = ParamScalar(draw(_CHI2_NUMERATORS))
+            new = [factor * x for x in draw(st.sampled_from(rows))]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return ExactMatrix(rows, cols=ncols, params=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chi2_matrices())
+def test_param_rref_matches_dense_bareiss_oracle(m):
+    expected, pivots = _rref_param(m) if m.rows else ([], [])
+    result = rref(m)
+    assert result.pivots == tuple(pivots)
+    assert (result.matrix.rows, result.matrix.cols) == (m.rows, m.cols)
+    expected = ExactMatrix.from_rows(expected, m.cols, 2)
+    # ParamScalar equality is semantic: a/b == c/d when a*d == c*b
+    assert [list(r) for r in result.matrix.entries] == [list(r) for r in expected.entries]
+    assert rank(m) == len(result.pivots)
