@@ -75,8 +75,10 @@ def oracle_rref(rows, ncols):
 
 # --- independent oracle for QQ(chi): the former dense Bareiss kernel --------
 # Column-wise fraction-free elimination of the dense view with row swaps,
-# then field normalization with ParamScalar arithmetic; it shares nothing
-# with the sparse row-wise kernel of `rref` but the scalar types.
+# then field normalization with ParamScalar arithmetic.  It shares with the
+# sparse row-wise kernel of `rref` only the scalar types and their term-dict
+# product and difference, which test_poly_arithmetic_matches_evaluation
+# checks against plain evaluation.
 
 def _clear_denominators(row: Sequence[ParamScalar], nparams: int) -> list[Poly]:
     d = Poly.one(nparams)
@@ -342,6 +344,26 @@ def test_paramscalar_arithmetic():
     assert not (chi1 - chi1)
     with pytest.raises(ZeroDivisionError):
         chi1 / (chi2 - chi2)
+
+
+_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    max_size=5,
+).map(lambda terms: Poly(2, terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POLYS, _POLYS, st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda t: tuple(map(F, t))))
+def test_poly_arithmetic_matches_evaluation(p, q, point):
+    # evaluation is plain Fraction arithmetic, independent of the term-dict
+    # helpers that Poly arithmetic and the QQ(chi) kernel share
+    x, y = p.evaluate(point), q.evaluate(point)
+    assert (p * q).evaluate(point) == x * y
+    assert (p + q).evaluate(point) == x + y
+    assert (p - q).evaluate(point) == x - y
+    assert all(c for c in (p * q).terms.values()) and all(c for c in (p - q).terms.values())
+    assert p - p == Poly.zero(2) and p * Poly.zero(2) == Poly.zero(2)
 
 
 def test_paramscalar_full_reduction():
