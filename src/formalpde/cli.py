@@ -60,6 +60,30 @@ def _involution_dict(res) -> dict:
     }
 
 
+def _inverse_section(final: LinearSystem, top: bool = False) -> dict:
+    """Dimension, generating sections and socle dimension of the inverse
+    system of a completed system, with its Nakayama generators when `top` is
+    set; raises ValueError when the system is not finite type."""
+    out = {
+        "finite_dimension": stable_dimension(final),
+        "generators": [g.body() for g in generating_sections(final)],
+    }
+    if top:
+        out["top_generators"] = [g.body() for g in top_generators(final)]
+    out["socle_dimension"] = len(socle(final))
+    return out
+
+
+def _purity_section(purity) -> dict:
+    return {
+        "codimension": purity.codimension,
+        "localized_dimension": purity.localized_dimension,
+        "torsion": [str(t) for t in purity.torsion],
+        "pure": purity.pure,
+        "alpha_crosscheck": purity.alpha_crosscheck,
+    }
+
+
 def build_report(text: str, sys_: LinearSystem, seed: int = 0, trunc: int | None = None) -> dict:
     """Full analysis of one system as a JSON-ready dictionary."""
     notes = [SPENCER_SIGN_NOTE, "characteristic minors are emitted un-radicalized"]
@@ -113,32 +137,15 @@ def build_report(text: str, sys_: LinearSystem, seed: int = 0, trunc: int | None
         report["hilbert"]["first_mismatch"] = cmp_result.first_mismatch
         if not cmp_result.agrees:
             notes.append("counted Hilbert function differs from the generator-degree series")
-    if final.equations:
-        cm = characteristic_matrix(final)
-        report["characteristic_ideal"] = [str(p.primitive()) for p in cm.minors]
-    else:
-        report["characteristic_ideal"] = []
+    report["characteristic_ideal"] = [str(p.primitive()) for p in characteristic_matrix(final).minors]
     try:
-        dim = stable_dimension(final)
-        gens = generating_sections(final)
-        soc = socle(final)
-        report["inverse"] = {
-            "finite_dimension": dim,
-            "generators": [g.body() for g in gens],
-            "socle_dimension": len(soc),
-        }
+        report["inverse"] = _inverse_section(final)
     except ValueError:
         report["inverse"] = {"finite_dimension": None}
         notes.append("inverse system is infinite dimensional; apply relative localization")
     try:
         purity = is_pure(sys_, seed=seed)
-        report["purity"] = {
-            "codimension": purity.codimension,
-            "localized_dimension": purity.localized_dimension,
-            "torsion": [str(t) for t in purity.torsion],
-            "pure": purity.pure,
-            "alpha_crosscheck": purity.alpha_crosscheck,
-        }
+        report["purity"] = _purity_section(purity)
         notes.extend(purity.notes)
     except ValueError as exc:
         report["purity"] = {"codimension": report["codimension"], "pure": None}
@@ -242,18 +249,12 @@ def _inverse_report(completion, seed: int) -> dict:
     if not completion.integrable:
         raise ValueError("completion inconclusive; inverse system undecided")
     final = completion.final_system
-    out: dict = {}
     try:
-        out["finite_dimension"] = stable_dimension(final)
-        out["generators"] = [g.body() for g in generating_sections(final)]
-        out["top_generators"] = [g.body() for g in top_generators(final)]
-        out["socle_dimension"] = len(socle(final))
+        out = _inverse_section(final, top=True)
     except ValueError:
         r = codimension(final, seed=seed)
-        out["finite_dimension"] = None
-        out["codimension"] = r
-        loc = localize(final, r)
-        out["localized_generators"] = [g.body() for g in localized_generators(loc)]
+        gens = [g.body() for g in localized_generators(localize(final, r))]
+        out = {"finite_dimension": None, "codimension": r, "localized_generators": gens}
     out["note"] = SPENCER_SIGN_NOTE
     return out
 
@@ -264,14 +265,8 @@ def cmd_purity(args) -> int:
         purity = is_pure(doc.system, seed=args.seed)
     except ValueError as exc:
         return _inconclusive(exc)
-    out = {
-        "codimension": purity.codimension,
-        "localized_dimension": purity.localized_dimension,
-        "torsion": [str(t) for t in purity.torsion],
-        "pure": purity.pure,
-        "alpha_crosscheck": purity.alpha_crosscheck,
-        "notes": list(purity.notes),
-    }
+    out = _purity_section(purity)
+    out["notes"] = list(purity.notes)
     _emit(out, args.report)
     return EXIT_OK
 

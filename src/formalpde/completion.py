@@ -135,7 +135,7 @@ def _completion(sys: LinearSystem, max_steps: int) -> IntegrabilityReport:
         flags.append((rho, projection_surjective(current, rho)))
         if not flags[-1][1]:
             break
-        ok, limited, _ = is_s_acyclic(current, 2, rho, window)
+        ok, limited = is_s_acyclic(current, 2, rho, window)
         if ok:
             acyclic_order = rho
             window_limited = limited

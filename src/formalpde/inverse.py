@@ -5,6 +5,9 @@ that all equations through that order hold.  With constant coefficients the
 Spencer operator acts by a plain shift, (d_i f)^k_mu = f^k_{mu+1_i}; the sign
 convention is Macaulay's (no minus), which is flagged in rendered reports.
 
+Sections through order r span the kernel of the prolonged equation matrix:
+section t is column t of the residue map of jets onto the parametric jets.
+
 For a finite-dimensional section space R the generators are found through the
 Nakayama quotient R / (d_1 R + ... + d_n R): lifting a basis of the quotient
 gives sections generating R as a differential module.  Residue classes killed
@@ -101,26 +104,19 @@ class ModularEquation:
         return f"E ≡ {self.body()} = 0"
 
 
-def _full_kernel(sys: LinearSystem, order: int):
-    """(kernel basis, columns, free columns) of the equation matrix through `order`."""
-    result, columns = _full_rref(sys, order)
-    pivot_set = set(result.pivots)
-    free = [columns[j] for j in range(len(columns)) if j not in pivot_set]
-    return result.kernel(), columns, free
-
-
 def section_basis(sys: LinearSystem, order: int) -> list[Section]:
     """Kernel basis of the full equation matrix through `order`, as sections.
 
-    Each basis section carries coefficient 1 on its own parametric jet and 0
-    on the other parametric jets; the list is sorted by that jet.
+    Section t is column t of :func:`residue_map`: it carries coefficient 1 on
+    the t-th parametric jet in display order, 0 on the other parametric jets,
+    and minus the pivot row's entry on each principal jet.
     """
-    basis, columns, free = _full_kernel(sys, order)
-    sections = []
-    for b, vec in enumerate(basis.transpose().sparse):
-        sections.append((free[b], Section(order, {columns[i]: v for i, v in vec.items()})))
-    sections.sort(key=lambda pair: js.display_key(pair[0]))
-    return [sec for _, sec in sections]
+    residues, parametric = residue_map(sys, order)
+    columns = [{} for _ in parametric]
+    for jc, vec in residues.items():
+        for t, v in vec.items():
+            columns[t][jc] = v
+    return [Section(order, c) for c in columns]
 
 
 def spencer_apply(i: int, f: Section) -> Section:
@@ -135,18 +131,6 @@ def spencer_apply(i: int, f: Section) -> Section:
     return Section(f.order - 1, result)
 
 
-def _lifts(sections, parametric) -> dict:
-    """Each section filed under the first parametric jet where its coefficient
-    is 1; the first section filed under a jet is kept."""
-    by_jet = {}
-    for f in sections:
-        for jc in parametric:
-            if f.coefficient(jc) == 1:
-                by_jet.setdefault(jc, f)
-                break
-    return by_jet
-
-
 def _stabilized_order(sys: LinearSystem) -> int:
     try:
         return stable_order(sys)
@@ -154,14 +138,10 @@ def _stabilized_order(sys: LinearSystem) -> int:
         raise ValueError("inverse system is infinite dimensional; apply relative localization first")
 
 
-def top_generators(sys: LinearSystem) -> list[ModularEquation]:
-    """Nakayama generators of a finite-dimensional inverse system.
-
-    Computes m*R = sum_i d_i(R) in parametric-jet coordinates and lifts the
-    non-pivot coordinates back to basis sections; ties between equally sparse
-    lifts are broken by the jet ordering, which reproduces the classical
-    single-dual-jet generator shapes.
-    """
+def _nakayama(sys: LinearSystem):
+    """(parametric jets, basis section lifting each jet, top jets) of a
+    finite-dimensional R: the top jets are the non-pivot coordinates of
+    m*R = sum_i d_i(R) in parametric-jet coordinates."""
     o = _stabilized_order(sys)
     parametric = list(slice_at(sys, o).parametric)
     basis = section_basis(sys, o + 1)
@@ -172,12 +152,24 @@ def top_generators(sys: LinearSystem) -> list[ModularEquation]:
             g = spencer_apply(i, f)
             rows.append({index[jc]: c for jc, c in g.coefficients.items() if jc in index})
     pivots = set(rref(ExactMatrix.from_rows(rows, len(parametric), sys.params)).pivots)
-    by_jet = _lifts(basis, parametric)
-    gens = []
-    for j, jc in enumerate(parametric):
-        if j not in pivots:
-            gens.append(ModularEquation(by_jet[jc], sys.m, sys.var_offset))
-    return gens
+    by_jet = {}  # each section under the first parametric jet where it is 1; the first one kept
+    for f in basis:
+        for jc in parametric:
+            if f.coefficient(jc) == 1:
+                by_jet.setdefault(jc, f)
+                break
+    return parametric, by_jet, [jc for j, jc in enumerate(parametric) if j not in pivots]
+
+
+def top_generators(sys: LinearSystem) -> list[ModularEquation]:
+    """Nakayama generators of a finite-dimensional inverse system.
+
+    Lifts the top jets of R / m*R back to basis sections; ties between equally
+    sparse lifts are broken by the jet ordering, which reproduces the
+    classical single-dual-jet generator shapes.
+    """
+    _, by_jet, top = _nakayama(sys)
+    return [ModularEquation(by_jet[jc], sys.m, sys.var_offset) for jc in top]
 
 
 def residue_map(sys: LinearSystem, order: int):
@@ -226,10 +218,6 @@ def socle(sys: LinearSystem):
     return [{basis_jets[i]: v for i, v in vec.items()} for vec in kern.transpose().sparse]
 
 
-def _span_rank(vectors, width: int, params: int) -> int:
-    return rank(ExactMatrix.from_rows(vectors, width, params))
-
-
 def derivative_closure_dimension(sys: LinearSystem, seed_jets) -> int:
     """Dimension of the smallest d-stable subspace of R containing the seeds.
 
@@ -241,7 +229,7 @@ def derivative_closure_dimension(sys: LinearSystem, seed_jets) -> int:
     width = len(basis_jets)
     index = {jc: t for t, jc in enumerate(basis_jets)}
     vectors = [{index[jc]: sys.one()} for jc in seed_jets]
-    current = _span_rank(vectors, width, sys.params)
+    current = rank(ExactMatrix.from_rows(vectors, width, sys.params))
     frontier = list(vectors)
     while frontier:
         new = []
@@ -256,7 +244,7 @@ def derivative_closure_dimension(sys: LinearSystem, seed_jets) -> int:
                     new.append(img)
         if not new:
             break
-        grown = _span_rank(vectors + new, width, sys.params)
+        grown = rank(ExactMatrix.from_rows(vectors + new, width, sys.params))
         if grown == current:
             break
         vectors += new
@@ -274,27 +262,16 @@ def generating_sections(sys: LinearSystem) -> list[ModularEquation]:
     derivative closure fills R.  The classical localized one-generator
     examples come out of the fallback.
     """
-    o = _stabilized_order(sys)
-    parametric = list(slice_at(sys, o).parametric)
-    gens = top_generators(sys)
-    chosen = []
-    for g in gens:
-        for jc in parametric:
-            if g.section.coefficient(jc) == 1:
-                chosen.append(jc)
-                break
+    parametric, by_jet, chosen = _nakayama(sys)
     total = len(parametric)
     current = derivative_closure_dimension(sys, chosen)
-    if current == total:
-        return gens
     for jc in reversed(parametric):
+        if current == total:
+            break
         if jc in chosen:
             continue
         grown = derivative_closure_dimension(sys, chosen + [jc])
         if grown > current:
             chosen, current = chosen + [jc], grown
-            if current == total:
-                break
-    by_jet = _lifts(section_basis(sys, o + 1), parametric)
     chosen.sort(key=js.display_key)
     return [ModularEquation(by_jet[jc], sys.m, sys.var_offset) for jc in chosen]

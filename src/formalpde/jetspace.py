@@ -17,7 +17,7 @@ Two total orders matter:
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 MultiIndex = tuple
 
@@ -88,15 +88,11 @@ def multi_indices(n: int, q: int) -> list[MultiIndex]:
     """All multi-indices of length exactly q, in solving order (class-descending)."""
     if n == 0:
         return [()] if q == 0 else []
-
-    def gen(prefix: tuple, remaining_vars: int, remaining: int) -> Iterator[MultiIndex]:
-        if remaining_vars == 1:
-            yield prefix + (remaining,)
-            return
-        for e in range(remaining + 1):
-            yield from gen(prefix + (e,), remaining_vars - 1, remaining - e)
-
-    return list(gen((), n, q))
+    # (prefix, order left) pairs, one variable more per pass, lexicographic
+    level = [((), q)]
+    for _ in range(n - 1):
+        level = [(prefix + (e,), left - e) for prefix, left in level for e in range(left + 1)]
+    return [prefix + (left,) for prefix, left in level]
 
 
 def multi_indices_upto(n: int, q: int) -> list[MultiIndex]:

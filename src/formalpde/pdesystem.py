@@ -69,8 +69,10 @@ class LinearSystem:
     ``("rref", horizon)``, ``("word_rref", r)`` and ``("symbol", order)`` hold
     (RREF, columns) of the prolonged, word-prolonged and symbol matrices,
     whose zero rows are empty sparse rows (:func:`_full_rref`, :func:`_word_rref`,
-    :func:`_symbol_rref`); ``("symbolspace", order)`` the symbol basis;
-    ``("delta_rank", s, order)`` the rank of delta on Lambda^s (x) g_order;
+    :func:`_symbol_rref`); ``("projected", s)`` the projection of the s-fold
+    prolongation (:func:`projected_system`); ``("symbolspace", order)`` the
+    symbol basis; ``("delta_rank", s, order)`` the rank of delta on
+    Lambda^s (x) g_order;
     ``("involution", order, seed)`` the involution test; ``("complete",
     max_steps)`` a weak reference to the completion report, which may name the
     system itself; ``("localize", r)`` the system localized at codimension r
@@ -247,10 +249,15 @@ def projected_system(sys: LinearSystem, s: int) -> LinearSystem:
 
     The prolonged matrix is row reduced with the high-order columns first, so
     the rows supported on jets of order <= q are exactly the consequences
-    visible at the original order.
+    visible at the original order.  Memoised as ``("projected", s)``, so the
+    projected system keeps its own memo for every later caller.
     """
-    result, columns = _word_rref(sys, s)
-    return sys.replace([e for e in _equations_from_rref(result, columns) if e.order <= sys.order])
+    key = ("projected", s)
+    if key not in sys._cache:
+        result, columns = _word_rref(sys, s)
+        low = [e for e in _equations_from_rref(result, columns) if e.order <= sys.order]
+        sys._cache[key] = sys.replace(low)
+    return sys._cache[key]
 
 
 def _power_expand(mu, a_rows, n: int) -> dict:

@@ -16,17 +16,19 @@ from fractions import Fraction
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .completion import codimension, involutive_order, is_completed
-from .inverse import ModularEquation, residue_map
+from .completion import codimension, complete, involutive_order, is_completed
+from .inverse import ModularEquation, generating_sections, residue_map
 from .pdesystem import (
     Equation,
     LinearSystem,
+    change_coordinates,
     companion_unknowns,
+    prolong,
     slice_at,
     stable_dimension,
     stable_order,
 )
-from .ratlinalg import ParamScalar, Poly
+from .ratlinalg import ExactMatrix, ParamScalar, Poly, integer_poly_row, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -154,25 +156,14 @@ def torsion_generators(sys: LinearSystem, r: int) -> list[TorsionElement]:
     for jc in candidates:
         coeff, local_jet = loc.original_to_local(jc)
         vectors.append({t: coeff * x for t, x in residues[local_jet].items()})
-    # Kernel over QQ: expand every QQ(chi) coordinate into one row per
-    # chi-monomial after clearing the denominators along that coordinate.
+    # Kernel over QQ: clear every QQ(chi) coordinate to integer polynomials
+    # (a nonzero common factor leaves the kernel unchanged) and expand it
+    # into one row per chi-monomial.
     rows: list[dict] = []
-    s = loc.params
     for target in range(len(loc_parametric)):
-        den = Poly.one(s)
-        for v in vectors:
-            e = v.get(target)
-            if e and e.den != Poly.one(s):
-                den = den * e.den
-        cleared = []
-        for v in vectors:
-            e = v.get(target)
-            cleared.append(e.num * den.div_exact(e.den) if e else Poly.zero(s))
-        monomials = sorted({exp for p in cleared for exp in p.terms})
-        for exp in monomials:
-            rows.append({i: p.terms[exp] for i, p in enumerate(cleared) if exp in p.terms})
-    from .ratlinalg import ExactMatrix, kernel_basis
-
+        cleared = integer_poly_row({i: v[target] for i, v in enumerate(vectors) if target in v})
+        for exp in sorted({exp for p in cleared.values() for exp in p}):
+            rows.append({i: p[exp] for i, p in cleared.items() if exp in p})
     kern = kernel_basis(ExactMatrix.from_rows(rows, len(candidates)))
     out = []
     for vec in kern.transpose().sparse:
@@ -189,15 +180,11 @@ def torsion_generators(sys: LinearSystem, r: int) -> list[TorsionElement]:
 
 def localized_generators(loc: LocalizedSystem) -> list[ModularEquation]:
     """Generating modular equations of the localized inverse system over QQ(chi)."""
-    from .inverse import generating_sections
-
     return generating_sections(loc.system)
 
 
 def is_pure(sys: LinearSystem, seed: int = 0) -> PurityReport:
     """Complete, find the codimension, localize there and look for torsion."""
-    from .completion import complete
-
     notes = []
     report = complete(sys)
     if not report.integrable:
@@ -213,9 +200,6 @@ def is_pure(sys: LinearSystem, seed: int = 0) -> PurityReport:
             break
     frame = inv.tableau.frame
     if not frame.is_identity():
-        from .pdesystem import change_coordinates
-        from .pdesystem import prolong
-
         final = prolong(change_coordinates(final, frame), 0)
         notes.append("characters required a frame change; localization done in that frame")
     loc = localize(final, r)

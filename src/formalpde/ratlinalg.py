@@ -111,32 +111,13 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "Poly":
-        result = Poly.one(self.nvars)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
             return other
         return Poly.const(self.nvars, other)
 
-    @property
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
 
     def leading(self) -> tuple[tuple, Fraction]:
         """Leading (exponent, coefficient) under lexicographic order."""
@@ -638,7 +619,7 @@ def _pdiv(a: dict, b: dict) -> dict:
     return quot
 
 
-def _integer_poly_row(row: dict) -> dict:
+def integer_poly_row(row: dict) -> dict:
     """The sparse QQ(chi) row {col: ParamScalar} times a common denominator,
     as {col: integer polynomial {exponent tuple: int}} of integer content one."""
     keys = {c: frozenset(v.den.terms.items()) for c, v in row.items()}
@@ -713,7 +694,7 @@ def _rref_param(matrix: ExactMatrix) -> tuple[list[dict], list[int]]:
 
     From the last basis row up, G_i = (d*B_i - sum_{j>i} B_i[c_j]*G_j) / p_i,
     exact since G_i, d times RREF row i, holds cofactors of that minor."""
-    basis = _echelon_param(map(_integer_poly_row, matrix.sparse))
+    basis = _echelon_param(map(integer_poly_row, matrix.sparse))
     if not basis:
         return [{}] * matrix.rows, []
     *rest, (c, last) = basis
@@ -745,7 +726,7 @@ def rref(matrix: ExactMatrix) -> RrefResult:
 
 def rank(matrix: ExactMatrix) -> int:
     if matrix.params:
-        return len(_echelon_param(map(_integer_poly_row, matrix.sparse)))
+        return len(_echelon_param(map(integer_poly_row, matrix.sparse)))
     return len(pivot_columns(map(integer_row, matrix.sparse)))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -26,8 +27,11 @@ from .jetspace import JetCoordinate
 from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, change_coordinates
 from .ratlinalg import ExactMatrix, rank
 
-# random unimodular frames tried after the identity frame fails Cartan's test
+# random unimodular frames tried after the identity frame fails Cartan's test,
+# each made of FRAME_STEPS random row additions kept within [-FRAME_BOUND, FRAME_BOUND]
 N_FRAMES = 25
+FRAME_BOUND = 3
+FRAME_STEPS = 12
 
 
 @dataclass(frozen=True)
@@ -103,9 +107,6 @@ class InvolutionResult:
     tableau: JanetTableau
     certificate: InvolutionCertificate
 
-    def __iter__(self):
-        return iter((self.involutive, self.tableau, self.certificate))
-
 
 def symbol(sys: LinearSystem, order: int) -> SymbolSpace:
     key = ("symbolspace", order)
@@ -175,7 +176,7 @@ def _delta_columns(sys: LinearSystem, s: int, order: int):
 def delta_matrix(sys: LinearSystem, s: int, order: int) -> ExactMatrix:
     """Matrix of delta: Lambda^s (x) g_order -> Lambda^{s+1} (x) g_{order-1},
     the sparse columns of :func:`_delta_columns` turned into sparse rows."""
-    rows = _lambda_dim(sys.n, s + 1) * symbol_dim(sys, order - 1)
+    rows = math.comb(sys.n, s + 1) * symbol_dim(sys, order - 1)
     return ExactMatrix.from_rows(list(_delta_columns(sys, s, order)), rows, sys.params).transpose()
 
 
@@ -188,15 +189,6 @@ def _delta_rank(sys: LinearSystem, s: int, order: int) -> int:
     return sys._cache[key]
 
 
-def _lambda_dim(n: int, s: int) -> int:
-    if s < 0 or s > n:
-        return 0
-    out = 1
-    for t in range(s):
-        out = out * (n - t) // (t + 1)
-    return out
-
-
 def cohomology(sys: LinearSystem, s: int, order: int) -> DeltaReport:
     """Dimension of H^s at Lambda^s (x) g_order.
 
@@ -207,8 +199,8 @@ def cohomology(sys: LinearSystem, s: int, order: int) -> DeltaReport:
     n = sys.n
     if not 0 <= s <= n:
         raise ValueError("exterior degree out of range")
-    dim_dom = _lambda_dim(n, s) * symbol_dim(sys, order)
-    dim_cod = _lambda_dim(n, s + 1) * symbol_dim(sys, order - 1) if s < n else 0
+    dim_dom = math.comb(n, s) * symbol_dim(sys, order)
+    dim_cod = math.comb(n, s + 1) * symbol_dim(sys, order - 1) if s < n else 0
     rank_out = _delta_rank(sys, s, order) if s < n and dim_dom else 0
     if s >= 1 and symbol_dim(sys, order + 1):
         rank_in = _delta_rank(sys, s - 1, order + 1)
@@ -233,16 +225,16 @@ def janet_tableau(sys: LinearSystem, order: int, frame: CoordinateChange | None 
     return JanetTableau(order, tuple(beta), tuple(alpha), frame)
 
 
-def random_unimodular(n: int, rng: random.Random, bound: int = 3, steps: int = 12) -> CoordinateChange:
-    """Random determinant +-1 integer matrix with entries within [-bound, bound]."""
+def random_unimodular(n: int, rng: random.Random) -> CoordinateChange:
+    """Random determinant +-1 integer matrix with entries within [-FRAME_BOUND, FRAME_BOUND]."""
     a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
+    for _ in range(FRAME_STEPS):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
         sgn = rng.choice((-1, 1))
         new_row = [a[i][t] + sgn * a[j][t] for t in range(n)]
-        if all(abs(x) <= bound for x in new_row):
+        if all(abs(x) <= FRAME_BOUND for x in new_row):
             a[i] = new_row
     return CoordinateChange(tuple(tuple(x for x in row) for row in a))
 
@@ -277,12 +269,11 @@ def acyclicity_scan(sys: LinearSystem, s_max: int, order: int, window: int):
 
 
 def is_s_acyclic(sys: LinearSystem, s_max: int, order: int, window: int):
-    """(verdict, window_limited, first nonzero report or None)."""
+    """(verdict, window_limited)."""
     reports, finite = acyclicity_scan(sys, s_max, order, window)
-    for rep in reports:
-        if rep.dim_cohomology:
-            return False, False, rep
-    return True, not finite, None
+    if any(rep.dim_cohomology for rep in reports):
+        return False, False
+    return True, not finite
 
 
 def stabilization_window(sys: LinearSystem) -> int:

@@ -57,8 +57,9 @@ CORPUS_TEXTS = {
 }
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def corpus_systems():
+    # freshly parsed for every test, so no test sees the memo another left
     return {name: parse(text).system for name, text in CORPUS_TEXTS.items()}
 
 

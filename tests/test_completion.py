@@ -181,3 +181,18 @@ def test_complete_is_memoised(name):
     sys = parse(CORPUS_TEXTS[name]).system
     assert complete(sys) is complete(sys)
     assert (complete(sys).final_system is sys) == (name == "example7")
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS_TEXTS if n != "example6_twisted"])
+def test_is_completed_after_complete_runs_no_elimination(monkeypatch, name):
+    # the completion's last projection is memoised on its final system.
+    # example6_twisted is left out: reduce_order lowers its order, and the
+    # lower-order system is a fresh projection whose memo starts empty
+    from formalpde import ratlinalg
+
+    report = complete(parse(CORPUS_TEXTS[name]).system)
+    eliminations = []
+    echelon = ratlinalg._echelon_int
+    monkeypatch.setattr(ratlinalg, "_echelon_int", lambda rows: eliminations.append(rows) or echelon(rows))
+    assert is_completed(report.final_system)
+    assert eliminations == []

@@ -4,20 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_system
+from conftest import CORPUS_TEXTS, make_system
 from formalpde import jetspace as js
 from formalpde.inverse import (
     ModularEquation,
     Section,
     derivative_closure_dimension,
     generating_sections,
+    residue_map,
     section_basis,
     socle,
     spencer_apply,
     top_generators,
 )
 from formalpde.jetspace import JetCoordinate
-from formalpde.pdesystem import prolonged_equations
+from formalpde.parser import parse
+from formalpde.pdesystem import prolonged_equations, slice_at
 
 F = Fraction
 
@@ -189,3 +191,18 @@ def test_generating_sections_equal_top_generators_for_origin_support(corpus_syst
         assert [g.body() for g in generating_sections(sys)] == [
             g.body() for g in top_generators(sys)
         ]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_TEXTS))
+def test_section_basis_is_transposed_residue_map(name):
+    # Macaulay's duality: section t is column t of the residue map, and each
+    # is a solution that is 1 on its own parametric jet and 0 on the others
+    sys = parse(CORPUS_TEXTS[name]).system
+    for order in range(sys.order + 4):
+        residues, parametric = residue_map(sys, order)
+        sections = section_basis(sys, order)
+        assert len(sections) == len(parametric) == slice_at(sys, order).dimension
+        for t, f in enumerate(sections):
+            assert f.coefficients == {jc: vec[t] for jc, vec in residues.items() if t in vec}
+            assert [f.coefficient(jc) for jc in parametric] == [int(u == t) for u in range(len(parametric))]
+            assert section_satisfies(sys, f)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -116,3 +117,16 @@ def test_jet_name():
     assert js.jet_name(js.JetCoordinate(1, (2, 0, 0)), 1) == "y_{11}"
     assert js.jet_name(js.JetCoordinate(1, (0, 0, 0)), 1) == "y"
     assert js.jet_name(js.JetCoordinate(2, (0, 0, 1)), 4) == "z2_3"
+
+
+def test_multi_indices_leaves_no_cyclic_garbage():
+    # every object it makes is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(6):
+            for q in range(6):
+                js.multi_indices(n, q)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
