@@ -37,17 +37,13 @@ def _load(path: str):
     return text, parse(text)
 
 
-def _frame_rows(frame) -> list:
-    return [[str(x) for x in row] for row in frame.matrix]
-
-
 def _involution_dict(res) -> dict:
     return {
         "involutive": res.involutive,
         "order": res.tableau.order,
         "beta": list(res.tableau.beta),
         "alpha": list(res.tableau.alpha),
-        "frame": _frame_rows(res.tableau.frame),
+        "frame": [[str(x) for x in row] for row in res.tableau.frame.matrix],
         "certificate": {
             "method": res.certificate.method,
             "frames_tried": res.certificate.frames_tried,
@@ -176,10 +172,6 @@ def _emit_text(report: dict, indent: int = 0) -> None:
         if isinstance(value, dict):
             print(f"{pad}{key}:")
             _emit_text(value, indent + 1)
-        elif isinstance(value, list) and value and isinstance(value[0], (dict,)):
-            print(f"{pad}{key}:")
-            for item in value:
-                _emit_text(item, indent + 1)
         else:
             print(f"{pad}{key}: {value}")
 

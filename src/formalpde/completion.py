@@ -16,6 +16,8 @@ from .pdesystem import LinearSystem, _equations_from_rref, _full_rref, projected
 from .ratlinalg import Poly
 from .spencer import is_involutive_symbol, is_s_acyclic, stabilization_window
 
+MAX_STEPS = 10  # one-step projections tried before the completion gives up
+
 
 @dataclass(frozen=True)
 class CompletionStep:
@@ -85,33 +87,32 @@ def projection_surjective(sys: LinearSystem, order: int) -> bool:
     return dim_proj == slice_at(sys, order).dimension
 
 
-def complete(sys: LinearSystem, max_steps: int = 10) -> IntegrabilityReport:
+def complete(sys: LinearSystem) -> IntegrabilityReport:
     """Project one step at a time until nothing new appears, then certify.
 
     The certification walks rho upward from the final order looking for a
     2-acyclic symbol with surjective projections below; when the window runs
     out the verdict is 'window_inconclusive' rather than a silent guess.
-    Memoised per `max_steps` in the system's cache, by weak reference: the
+    Memoised in the system's cache by weak reference, not by `memoised`: the
     report of a system that needs no change names the system itself, and a
     strong entry would form a cycle that only the cyclic collector frees.
     A report is computed again only when no caller holds it any more.
     """
-    key = ("complete", max_steps)
-    report = sys._cache[key]() if key in sys._cache else None
+    report = sys._cache[("complete",)]() if ("complete",) in sys._cache else None
     if report is None:
-        report = _completion(sys, max_steps)
-        sys._cache[key] = weakref.ref(report)
+        report = _completion(sys)
+        sys._cache[("complete",)] = weakref.ref(report)
     return report
 
 
-def _completion(sys: LinearSystem, max_steps: int) -> IntegrabilityReport:
+def _completion(sys: LinearSystem) -> IntegrabilityReport:
     if not sys.equations:
         return IntegrabilityReport("formally_integrable", 0, (), sys, 0, ((0, True),), False)
     current = sys
     trace = []
     steps = 0
     window = stabilization_window(sys)
-    for step in range(1, max_steps + 1):
+    for step in range(1, MAX_STEPS + 1):
         q = current.order
         dims_before = _dims_upto(current, q)
         nxt = projected_system(current, 1)

@@ -15,6 +15,7 @@ the `examples` subcommand always points at a concrete number.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import jetspace as js
@@ -139,7 +140,17 @@ def _par_names(jets, m: int = 1, var_offset: int = 0):
     return tuple(js.jet_name(jc, m, var_offset) for jc in jets)
 
 
-def _eval_abstract(name: str, dim: int, par: tuple, order: int) -> CorpusResult:
+ABSTRACT = {
+    # name: (dim R, order of the listed slice, its parametric jets)
+    "abstract_n1": (2, 1, ("y", "y_1")),
+    "abstract_n2_q": (4, 2, ("y", "y_1", "y_2", "y_{11}")),
+    "abstract_n2_qprime": (6, 3, ("y", "y_1", "y_2", "y_{11}", "y_{22}", "y_{111}")),
+    "abstract_n3": (8, 3, ("y", "y_1", "y_2", "y_3", "y_{11}", "y_{12}", "y_{13}", "y_{111}")),
+}
+
+
+def eval_abstract(name: str, seed: int = 0) -> CorpusResult:
+    dim, order, par = ABSTRACT[name]
     sys = system(name)
     sl = slice_at(sys, order)
     checks = (
@@ -147,29 +158,6 @@ def _eval_abstract(name: str, dim: int, par: tuple, order: int) -> CorpusResult:
         Check(f"parametric_jets_order_{order}", "literature", par, _par_names(sl.parametric)),
     )
     return CorpusResult(name, SOURCES[name], checks, ())
-
-
-def eval_abstract_n1(seed: int = 0) -> CorpusResult:
-    return _eval_abstract("abstract_n1", 2, ("y", "y_1"), 1)
-
-
-def eval_abstract_n2_q(seed: int = 0) -> CorpusResult:
-    return _eval_abstract("abstract_n2_q", 4, ("y", "y_1", "y_2", "y_{11}"), 2)
-
-
-def eval_abstract_n2_qprime(seed: int = 0) -> CorpusResult:
-    return _eval_abstract(
-        "abstract_n2_qprime", 6, ("y", "y_1", "y_2", "y_{11}", "y_{22}", "y_{111}"), 3
-    )
-
-
-def eval_abstract_n3(seed: int = 0) -> CorpusResult:
-    return _eval_abstract(
-        "abstract_n3",
-        8,
-        ("y", "y_1", "y_2", "y_3", "y_{11}", "y_{12}", "y_{13}", "y_{111}"),
-        3,
-    )
 
 
 def eval_example1(seed: int = 0) -> CorpusResult:
@@ -516,10 +504,7 @@ def eval_example8(seed: int = 0) -> CorpusResult:
 
 
 ENTRIES = {
-    "abstract_n1": eval_abstract_n1,
-    "abstract_n2_q": eval_abstract_n2_q,
-    "abstract_n2_qprime": eval_abstract_n2_qprime,
-    "abstract_n3": eval_abstract_n3,
+    **{name: functools.partial(eval_abstract, name) for name in ABSTRACT},
     "example1": eval_example1,
     "example2": eval_example2,
     "example3": eval_example3,

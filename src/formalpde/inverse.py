@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .pdesystem import LinearSystem, _full_rref, slice_at, stable_order
+from .pdesystem import LinearSystem, _full_rref, memoised, slice_at, stable_order
 from .ratlinalg import ExactMatrix, ParamScalar, kernel_basis, rank, rref
 
 SPENCER_SIGN_NOTE = "Spencer operator taken with Macaulay's sign: (d_i f)_mu = f_{mu+1_i}"
@@ -45,27 +45,15 @@ class Section:
     def __bool__(self) -> bool:
         return bool(self.coefficients)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Section):
-            return NotImplemented
-        if self.order != other.order or set(self.coefficients) != set(other.coefficients):
-            return False
-        return all(c == other.coefficients[jc] for jc, c in self.coefficients.items())
-
 
 def render_coefficient(c, lead: bool) -> str:
     """Format one coefficient for a modular equation term."""
-    if isinstance(c, ParamScalar):
-        c = c.reduced(full=True)
-        if c == 1:
-            return "" if lead else "+ "
-        if c == -1:
-            return "-" if lead else "- "
-        return (f"({c})*" if lead else f"+ ({c})*")
     if c == 1:
         return "" if lead else "+ "
     if c == -1:
         return "-" if lead else "- "
+    if isinstance(c, ParamScalar):
+        return f"({c})*" if lead else f"+ ({c})*"
     if c > 0:
         return f"{c}*" if lead else f"+ {c}*"
     return f"{c}*" if lead else f"- {-c}*"
@@ -73,14 +61,7 @@ def render_coefficient(c, lead: bool) -> str:
 
 def dual_jet_name(jc: JetCoordinate, m: int, var_offset: int = 0) -> str:
     """Macaulay's formal coefficient a^mu (a^mu_k with several unknowns)."""
-    ds = tuple(d + var_offset for d in js.digits(jc.mu))
-    if not ds:
-        body = "0"
-    elif all(d <= 9 for d in ds):
-        body = "".join(str(d) for d in ds)
-    else:
-        body = ",".join(str(d) for d in ds)
-    sup = body if len(body) == 1 else "{" + body + "}"
+    sup = js.digit_body(jc.mu, var_offset) or "0"
     return f"a^{sup}" if m == 1 else f"a^{sup}_{jc.k}"
 
 
@@ -184,27 +165,25 @@ def residue_map(sys: LinearSystem, order: int):
     return residues, [columns[j] for j in free]
 
 
+@memoised
 def multiplication_matrices(sys: LinearSystem):
     """Matrices of d_1..d_n acting on M over its parametric-jet basis.
 
     Returns (matrices, basis jets); column j of matrix i is the residue of
-    d_i applied to basis jet j.  Memoised as ``("multiplication",)``.
+    d_i applied to basis jet j.
     """
-    key = ("multiplication",)
-    if key not in sys._cache:
-        o = _stabilized_order(sys)
-        residues, parametric = residue_map(sys, o + 1)
-        basis_jets = [jc for jc in parametric if js.order_of(jc.mu) <= o]  # a prefix
-        width = len(basis_jets)
-        mats = []
-        for i in range(1, sys.n + 1):
-            cols = []
-            for jc in basis_jets:
-                up = tuple(e + (1 if t == i - 1 else 0) for t, e in enumerate(jc.mu))
-                cols.append({t: v for t, v in residues[JetCoordinate(jc.k, up)].items() if t < width})
-            mats.append(ExactMatrix.from_rows(cols, width, sys.params).transpose())
-        sys._cache[key] = (tuple(mats), tuple(basis_jets))
-    return sys._cache[key]
+    o = _stabilized_order(sys)
+    residues, parametric = residue_map(sys, o + 1)
+    basis_jets = [jc for jc in parametric if js.order_of(jc.mu) <= o]  # a prefix
+    width = len(basis_jets)
+    mats = []
+    for i in range(1, sys.n + 1):
+        cols = []
+        for jc in basis_jets:
+            up = tuple(e + (1 if t == i - 1 else 0) for t, e in enumerate(jc.mu))
+            cols.append({t: v for t, v in residues[JetCoordinate(jc.k, up)].items() if t < width})
+        mats.append(ExactMatrix.from_rows(cols, width, sys.params).transpose())
+    return tuple(mats), tuple(basis_jets)
 
 
 def socle(sys: LinearSystem):

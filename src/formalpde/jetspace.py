@@ -125,11 +125,17 @@ def jets_upto(n: int, m: int, q: int) -> list[JetCoordinate]:
     return out
 
 
+def digit_body(mu: MultiIndex, var_offset: int = 0) -> str:
+    """Shifted variable indices of mu as one subscript: "" for order 0, "3",
+    else braced, comma-separated once an index exceeds 9: "{23}", "{3,10}"."""
+    ds = [d + var_offset for d in digits(mu)]
+    sep = "" if all(d <= 9 for d in ds) else ","
+    body = sep.join(str(d) for d in ds)
+    return body if len(body) <= 1 else "{" + body + "}"
+
+
 def jet_name(jc: JetCoordinate, m: int, var_offset: int = 0) -> str:
-    """Render y_23 / z2_13 style names; digit strings assume n <= 9."""
+    """Render y_23 / z2_13 style names."""
     base = "y" if m == 1 else f"z{jc.k}"
-    ds = tuple(d + var_offset for d in digits(jc.mu))
-    if not ds:
-        return base
-    body = "".join(str(d) for d in ds) if all(d <= 9 for d in ds) else ",".join(str(d) for d in ds)
-    return f"{base}_{body}" if len(ds) == 1 and len(body) == 1 else f"{base}_{{{body}}}"
+    body = digit_body(jc.mu, var_offset)
+    return f"{base}_{body}" if body else base

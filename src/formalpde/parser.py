@@ -89,7 +89,6 @@ def _tokenize(text: str) -> list[Token]:
 class SystemDocument:
     n: int
     m: int
-    equation_sources: tuple
     system: LinearSystem
 
 
@@ -182,7 +181,7 @@ def parse(text: str) -> SystemDocument:
     parser = _Parser(tokens)
     n = None
     m = None
-    raw_equations = []  # (terms, span) with terms = [(coeff, k, indices, token)]
+    raw_equations = []  # [(coeff, (k, indices, token)), ...] per equation
     while parser.peek() is not None:
         tok = parser.peek()
         if tok.kind == "name" and tok.text in ("vars", "unknowns"):
@@ -200,20 +199,18 @@ def parse(text: str) -> SystemDocument:
         if tok.kind == "name" and tok.text == "eq":
             parser.next()
             parser.expect(":")
-            start = parser.pos
             terms = parser.parse_expr()
             if parser.accept("="):
                 zero = parser.expect("int")
                 if zero.text != "0":
                     raise ParseError("right-hand side must be 0", zero.line, zero.col)
-            end = parser.pos
-            raw_equations.append((terms, (start, end)))
+            raw_equations.append(terms)
             parser.accept(";")
             continue
         raise ParseError(f"expected statement, found {tok.text!r}", tok.line, tok.col)
     if n is None or m is None:
         seen_vars, seen_unknowns = [1], [1]
-        for terms, _span in raw_equations:
+        for terms in raw_equations:
             for _coeff, (k, indices, _tok) in terms:
                 seen_unknowns.append(k)
                 seen_vars.extend(indices)
@@ -222,8 +219,7 @@ def parse(text: str) -> SystemDocument:
         if m is None:
             m = max(seen_unknowns)
     equations = []
-    sources = []
-    for terms, _span in raw_equations:
+    for terms in raw_equations:
         built: dict = {}
         for coeff, (k, indices, tok) in terms:
             for d in indices:
@@ -234,12 +230,9 @@ def parse(text: str) -> SystemDocument:
             mu = js.mu_from_digits(indices, n)
             key = JetCoordinate(k, mu)
             built[key] = built.get(key, Fraction(0)) + coeff
-        eqn = Equation(built)
-        if eqn:
-            equations.append(eqn)
-            sources.append(render_equation(eqn, m))
+        equations.append(Equation(built))  # LinearSystem drops an empty one
     system = LinearSystem(n, m, equations)
-    return SystemDocument(n, m, tuple(sources), system)
+    return SystemDocument(n, m, system)
 
 
 def render_equation(eqn: Equation, m: int) -> str:

@@ -65,21 +65,10 @@ class LinearSystem:
     coefficients); `var_offset` shifts displayed variable indices so that a
     localized system in the trailing variables keeps its original digit names.
 
-    `_cache` is the one memo of all analyses of this system, by key:
-    ``("rref", horizon)``, ``("word_rref", r)`` and ``("symbol", order)`` hold
-    (RREF, columns) of the prolonged, word-prolonged and symbol matrices,
-    whose zero rows are empty sparse rows (:func:`_full_rref`, :func:`_word_rref`,
-    :func:`_symbol_rref`); ``("projected", s)`` the projection of the s-fold
-    prolongation (:func:`projected_system`); ``("symbolspace", order)`` the
-    symbol basis; ``("delta_rank", s, order)`` the rank of delta on
-    Lambda^s (x) g_order;
-    ``("involution", order, seed)`` the involution test; ``("complete",
-    max_steps)`` a weak reference to the completion report, which may name the
-    system itself; ``("localize", r)`` the system localized at codimension r
-    (not the `LocalizedSystem`, whose `origin` would make a cycle);
-    ``("multiplication",)`` the matrices of d_1..d_n on M with their basis.
-    Entries depend only on the equations, so a system must never be mutated;
-    every transformation returns a new system.
+    `_cache` is the one memo of all analyses of this system: :func:`memoised`
+    keeps ``fn(sys, *args)`` under ``(fn.__name__, *args)``.  Entries depend
+    only on the equations, so a system must never be mutated; every
+    transformation returns a new system.
     """
 
     __slots__ = ("n", "m", "equations", "params", "var_offset", "_cache")
@@ -126,6 +115,19 @@ class LinearSystem:
 
     def __repr__(self) -> str:
         return f"LinearSystem(n={self.n}, m={self.m}, order={self.order}, eqs={len(self.equations)})"
+
+
+def memoised(fn):
+    """Keep ``fn(sys, *args)`` in ``sys._cache`` under ``(fn.__name__, *args)``."""
+
+    @functools.wraps(fn)
+    def cached(sys: LinearSystem, *args):
+        key = (fn.__name__, *args)
+        if key not in sys._cache:
+            sys._cache[key] = fn(sys, *args)
+        return sys._cache[key]
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -198,24 +200,20 @@ def _word_prolonged_equations(sys: LinearSystem, r: int) -> list[Equation]:
     return out
 
 
+@memoised
 def _full_rref(sys: LinearSystem, horizon: int):
     """RREF of all prolonged equations up to `horizon`, with its column list."""
-    key = ("rref", horizon)
-    if key not in sys._cache:
-        columns = js.jets_upto(sys.n, sys.m, horizon)
-        matrix = equation_matrix(prolonged_equations(sys, horizon), columns, sys.params)
-        sys._cache[key] = (rref(matrix), columns)
-    return sys._cache[key]
+    columns = js.jets_upto(sys.n, sys.m, horizon)
+    matrix = equation_matrix(prolonged_equations(sys, horizon), columns, sys.params)
+    return rref(matrix), columns
 
 
+@memoised
 def _word_rref(sys: LinearSystem, r: int):
     """RREF of the r-fold word prolongation, with its column list."""
-    key = ("word_rref", r)
-    if key not in sys._cache:
-        columns = js.jets_upto(sys.n, sys.m, sys.order + r)
-        matrix = equation_matrix(_word_prolonged_equations(sys, r), columns, sys.params)
-        sys._cache[key] = (rref(matrix), columns)
-    return sys._cache[key]
+    columns = js.jets_upto(sys.n, sys.m, sys.order + r)
+    matrix = equation_matrix(_word_prolonged_equations(sys, r), columns, sys.params)
+    return rref(matrix), columns
 
 
 def slice_at(sys: LinearSystem, r: int) -> JetSpaceSlice:
@@ -244,20 +242,17 @@ def prolong(sys: LinearSystem, r: int) -> LinearSystem:
     return sys.replace(_equations_from_rref(result, columns))
 
 
+@memoised
 def projected_system(sys: LinearSystem, s: int) -> LinearSystem:
     """Order-q system cutting out the projection of the s-fold prolongation.
 
     The prolonged matrix is row reduced with the high-order columns first, so
     the rows supported on jets of order <= q are exactly the consequences
-    visible at the original order.  Memoised as ``("projected", s)``, so the
-    projected system keeps its own memo for every later caller.
+    visible at the original order.  Memoised, so the projected system keeps
+    its own memo for every later caller.
     """
-    key = ("projected", s)
-    if key not in sys._cache:
-        result, columns = _word_rref(sys, s)
-        low = [e for e in _equations_from_rref(result, columns) if e.order <= sys.order]
-        sys._cache[key] = sys.replace(low)
-    return sys._cache[key]
+    result, columns = _word_rref(sys, s)
+    return sys.replace([e for e in _equations_from_rref(result, columns) if e.order <= sys.order])
 
 
 def _power_expand(mu, a_rows, n: int) -> dict:
@@ -382,13 +377,11 @@ def symbol_matrix(sys: LinearSystem, order: int):
     return equation_matrix(symbol_equations(sys, order), columns, sys.params), columns
 
 
+@memoised
 def _symbol_rref(sys: LinearSystem, order: int):
     """RREF of the symbol matrix at `order`, with its column list."""
-    key = ("symbol", order)
-    if key not in sys._cache:
-        matrix, columns = symbol_matrix(sys, order)
-        sys._cache[key] = (rref(matrix), columns)
-    return sys._cache[key]
+    matrix, columns = symbol_matrix(sys, order)
+    return rref(matrix), columns
 
 
 def stable_order(sys: LinearSystem) -> int:

@@ -85,8 +85,9 @@ def localize(sys: LinearSystem, r: int) -> LocalizedSystem:
 
     Requires a completed system: the class-killing behaviour of the
     localization relies on the compatibility equations already being present.
-    The localized system is memoised as ``("localize", r)`` in the cache of
-    `sys`, so its own memo serves every later localization at r.
+    The memo is written out, not `memoised`: ``("localize", r)`` in the cache
+    of `sys` keeps the localized system, not the `LocalizedSystem`, whose
+    `origin` would form a cycle, and at r = n the QQ system itself is returned.
     """
     if not 0 <= r <= sys.n:
         raise ValueError("localization codimension out of range")

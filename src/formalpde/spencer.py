@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, change_coordinates
+from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, change_coordinates, memoised
 from .ratlinalg import ExactMatrix, rank
 
 # random unimodular frames tried after the identity frame fails Cartan's test,
@@ -108,14 +108,12 @@ class InvolutionResult:
     certificate: InvolutionCertificate
 
 
+@memoised
 def symbol(sys: LinearSystem, order: int) -> SymbolSpace:
-    key = ("symbolspace", order)
-    if key not in sys._cache:
-        result, columns = _symbol_rref(sys, order)
-        pivot_set = set(result.pivots)
-        free = tuple(columns[j] for j in range(len(columns)) if j not in pivot_set)
-        sys._cache[key] = SymbolSpace(order, len(columns), result.kernel(), tuple(columns), free)
-    return sys._cache[key]
+    result, columns = _symbol_rref(sys, order)
+    pivot_set = set(result.pivots)
+    free = tuple(columns[j] for j in range(len(columns)) if j not in pivot_set)
+    return SymbolSpace(order, len(columns), result.kernel(), tuple(columns), free)
 
 
 def symbol_dim(sys: LinearSystem, order: int) -> int:
@@ -180,13 +178,10 @@ def delta_matrix(sys: LinearSystem, s: int, order: int) -> ExactMatrix:
     return ExactMatrix.from_rows(list(_delta_columns(sys, s, order)), rows, sys.params).transpose()
 
 
+@memoised
 def _delta_rank(sys: LinearSystem, s: int, order: int) -> int:
-    """Rank of :func:`delta_matrix` at Lambda^s (x) g_order, over either
-    field, memoised in the system's cache."""
-    key = ("delta_rank", s, order)
-    if key not in sys._cache:
-        sys._cache[key] = rank(delta_matrix(sys, s, order))
-    return sys._cache[key]
+    """Rank of :func:`delta_matrix` at Lambda^s (x) g_order, over either field."""
+    return rank(delta_matrix(sys, s, order))
 
 
 def cohomology(sys: LinearSystem, s: int, order: int) -> DeltaReport:
@@ -289,14 +284,10 @@ def is_involutive_symbol(sys: LinearSystem, order: int | None = None, seed: int 
     stabilization window (exact whenever the symbol is finite type).
     Memoised per (order, seed) in the system's cache.
     """
-    if order is None:
-        order = sys.order
-    key = ("involution", order, seed)
-    if key not in sys._cache:
-        sys._cache[key] = _involution_test(sys, order, seed)
-    return sys._cache[key]
+    return _involution_test(sys, sys.order if order is None else order, seed)
 
 
+@memoised
 def _involution_test(sys: LinearSystem, order: int, seed: int) -> InvolutionResult:
     window = stabilization_window(sys)
     if order < 1 or not sys.equations:

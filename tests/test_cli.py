@@ -149,13 +149,20 @@ def test_report_json_deterministic():
 
 
 def test_report_json_byte_identical_across_processes(tmp_path):
+    import os
     import subprocess
     import sys as _sys
+    from pathlib import Path
+
+    import formalpde
 
     f = tmp_path / "ex3.pde"
     f.write_text(CORPUS_TEXTS["example3"], encoding="utf-8")
     cmd = [_sys.executable, "-m", "formalpde.cli", "--report", "json", "analyze", str(f)]
-    runs = [subprocess.run(cmd, capture_output=True, check=True).stdout for _ in range(2)]
+    # the child imports the same formalpde as this process, installed or not
+    paths = (str(Path(formalpde.__file__).parent.parent), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    runs = [subprocess.run(cmd, capture_output=True, check=True, env=env).stdout for _ in range(2)]
     assert runs[0] == runs[1]
 
 

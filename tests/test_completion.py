@@ -29,8 +29,9 @@ def test_complete_example3(corpus_systems):
         assert step.dims_after < step.dims_before
 
 
-def test_complete_reports_inconclusive_when_steps_exhausted(corpus_systems):
-    report = complete(corpus_systems["example3"], max_steps=1)
+def test_complete_reports_inconclusive_when_steps_exhausted(corpus_systems, monkeypatch):
+    monkeypatch.setattr("formalpde.completion.MAX_STEPS", 1)
+    report = complete(corpus_systems["example3"])
     assert report.verdict == "window_inconclusive"
     assert not report.integrable
     assert report.steps == 1

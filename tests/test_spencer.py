@@ -272,7 +272,7 @@ def test_memoised_delta_rank_matches_dense_matrix(name):
             dense = delta_matrix(sys, s, order)
             assert [list(r) for r in dense.entries] == reference_delta(sys, s, order), (s, order)
             assert cohomology(sys, s, order).rank_out == rank(dense), (s, order)
-            assert sys._cache[("delta_rank", s, order)] == rank(dense)
+            assert sys._cache[("_delta_rank", s, order)] == rank(dense)
 
 
 def _count_calls(monkeypatch, module, name, calls):
