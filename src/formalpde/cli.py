@@ -5,7 +5,8 @@ for a fixed input and seed the serialized report is byte-identical across
 runs.  Exit codes: 0 success, 1 analysis inconclusive within the window,
 2 corpus mismatch, 3 input error (unreadable file, parse error or invalid
 option value), 4 internal error (any other exception); 3 and 4 print one
-line, and so does 1 from `inverse` and `purity`, which print no report then.
+line, and so does 1 from `hilbert --file`, `inverse` and `purity`, which
+print no report then.
 """
 
 from __future__ import annotations
@@ -208,7 +209,10 @@ def cmd_hilbert(args) -> int:
             print(f"invalid --degrees {args.degrees!r}: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
     if doc is not None:
-        counted = hilbert_function(complete(doc.system).final_system, args.trunc)
+        completion = complete(doc.system)  # held, so hilbert_function's complete() is a memo hit
+        if not completion.integrable:
+            return _inconclusive("completion inconclusive; Hilbert function undecided")
+        counted = hilbert_function(completion.final_system, args.trunc)
         out = {"function": list(counted.coefficients)}
         if series is not None:
             out["series"] = list(series.coefficients)
@@ -222,8 +226,8 @@ def cmd_hilbert(args) -> int:
     return EXIT_OK
 
 
-def _inconclusive(exc: ValueError) -> int:
-    print(f"inconclusive: {exc}", file=sys.stderr)
+def _inconclusive(reason) -> int:
+    print(f"inconclusive: {reason}", file=sys.stderr)
     return EXIT_INCONCLUSIVE
 
 

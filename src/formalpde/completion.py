@@ -158,12 +158,16 @@ def is_completed(sys: LinearSystem) -> bool:
 
 def involutive_order(sys: LinearSystem, seed: int = 0):
     """First order in the stabilization window from max(q, 1) at which the
-    symbol passes the involution test."""
+    symbol passes the involution test.  An involutive g_q' has zero
+    delta-cohomology at every order >= q' (Seiler 2010, *Involution*, ch. 6),
+    so a failed test's nonzero spots (s, o', dim) rule out each order <= o'."""
     q = max(sys.order, 1)
-    for order in range(q, q + stabilization_window(sys) + 1):
+    order = q
+    while order <= q + stabilization_window(sys):
         res = is_involutive_symbol(sys, order, seed=seed)
         if res.involutive:
             return order, res
+        order = 1 + max([order] + [o for _, o, _ in res.certificate.nonzero_cohomology])
     raise ValueError("no involutive order found within the window")
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .completion import complete
 from .jetspace import monomial_count
 from .pdesystem import LinearSystem, slice_at
+from .spencer import symbol_dim
 
 
 @dataclass(frozen=True)
@@ -59,13 +61,22 @@ def principal_class_series(degrees, n: int, truncation: int) -> PowerSeries:
 
 
 def hilbert_function(sys: LinearSystem, truncation: int) -> PowerSeries:
-    """Counted parametric jets per strict order: dim R_t - dim R_{t-1}."""
+    """Counted parametric jets per strict order: dim R_t - dim R_{t-1}.
+
+    When the completion certifies `sys` itself, with no window cut-off, as
+    formally integrable of order q, each projection R_t -> R_{t-1}, t > q, is
+    onto with kernel g_t (Seiler 2010, *Involution*, ch. 2): the count is then
+    dim g_t, from the memoised symbol ranks, not a prolonged elimination."""
+    report = complete(sys)
+    certified = report.verdict == "formally_integrable" and not report.window_limited
+    top = sys.order if certified and report.final_system is sys else truncation
     coeffs = []
     prev = 0
-    for t in range(truncation + 1):
+    for t in range(min(top, truncation) + 1):
         cur = slice_at(sys, t).dimension
         coeffs.append(cur - prev)
         prev = cur
+    coeffs += [symbol_dim(sys, t) for t in range(top + 1, truncation + 1)]
     return PowerSeries(tuple(coeffs), truncation)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +55,12 @@ CORPUS_TEXTS = {
     "abstract_n2_q": "vars=2; eq: y[2,2]=0; eq: y[1,2]-y[1,1]=0",
     "abstract_n2_qprime": "vars=2; eq: y[2,2,2]=0; eq: y[1,2]-y[1,1]=0",
     "abstract_n3": "vars=3; eq: y[3,3]=0; eq: y[2,3]-y[1,1]=0; eq: y[2,2]=0",
+}
+
+# the benchmark's input texts, by file stem: five-var, flagship, two-unknown
+BENCH_TEXTS = {
+    path.stem: path.read_text(encoding="utf-8")
+    for path in sorted((Path(__file__).resolve().parents[1] / "bench" / "inputs").glob("*.pde"))
 }
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS_TEXTS
+from conftest import BENCH_TEXTS, CORPUS_TEXTS
 from formalpde import corpus
 from formalpde.completion import complete
 from formalpde.cli import (
@@ -266,3 +266,35 @@ def test_cli_inconclusive_completion_exit_code(command, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("inconclusive: completion inconclusive")
+
+
+def test_cli_hilbert_inconclusive_completion_exit_code(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "example3.pde"
+    f.write_text(CORPUS_TEXTS["example3"], encoding="utf-8")
+    argv = ["hilbert", "--file", str(f), "--trunc", "5"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == "function: [1, 3, 2, 2, 2, 2]\n"
+    monkeypatch.setattr("formalpde.completion.MAX_STEPS", 1)
+    assert main(argv) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["inconclusive: completion inconclusive; Hilbert function undecided"]
+
+
+def test_analyze_flagship_builds_tableaux_at_orders_2_and_5_only(tmp_path, capsys, monkeypatch):
+    # the order-2 certificate rules out orders 3 and 4, so no frame search runs there
+    from formalpde import spencer
+
+    orders = set()
+    tableau = spencer.janet_tableau
+
+    def spy(sys, order, *frame):
+        orders.add(order)
+        return tableau(sys, order, *frame)
+
+    monkeypatch.setattr(spencer, "janet_tableau", spy)
+    f = tmp_path / "flagship.pde"
+    f.write_text(BENCH_TEXTS["flagship"], encoding="utf-8")
+    assert main(["--report", "json", "analyze", str(f)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["involution"]["involutive_prolongation_order"] == 5
+    assert orders == {2, 5}

@@ -4,19 +4,21 @@ import random
 
 import pytest
 
-from conftest import CORPUS_TEXTS, make_system
+from conftest import BENCH_TEXTS, CORPUS_TEXTS, make_system
+from formalpde import completion
 from formalpde import jetspace as js
 from formalpde.completion import (
     characteristic_matrix,
     codimension,
     complete,
+    involutive_order,
     is_completed,
     projection_surjective,
 )
 from formalpde.parser import parse
 from formalpde.pdesystem import CoordinateChange, change_coordinates, prolong, slice_at
 from formalpde.ratlinalg import Poly
-from formalpde.spencer import random_unimodular
+from formalpde.spencer import is_involutive_symbol, random_unimodular, stabilization_window
 
 
 def test_complete_example3(corpus_systems):
@@ -197,3 +199,60 @@ def test_is_completed_after_complete_runs_no_elimination(monkeypatch, name):
     monkeypatch.setattr(ratlinalg, "_echelon_int", lambda rows: eliminations.append(rows) or echelon(rows))
     assert is_completed(report.final_system)
     assert eliminations == []
+
+
+def _involutive_order_by_each_order(sys, seed):
+    """The order-by-order search that `involutive_order` shortens, kept as its oracle."""
+    q = max(sys.order, 1)
+    for order in range(q, q + stabilization_window(sys) + 1):
+        res = is_involutive_symbol(sys, order, seed=seed)
+        if res.involutive:
+            return order, res
+    raise ValueError("no involutive order found within the window")
+
+
+def _outcome(search, sys, seed):
+    try:
+        return search(sys, seed)
+    except ValueError as exc:
+        return str(exc)
+
+
+TEXTS = {**CORPUS_TEXTS, **BENCH_TEXTS}
+
+
+def _record_tested_orders(monkeypatch) -> list:
+    """Orders at which `involutive_order` runs the involution test, in call order."""
+    tested = []
+
+    def spy(sys, order, seed):
+        tested.append(order)
+        return is_involutive_symbol(sys, order, seed)
+
+    monkeypatch.setattr(completion, "is_involutive_symbol", spy)
+    return tested
+
+
+@pytest.mark.parametrize("name", list(TEXTS))
+def test_involutive_order_matches_order_by_order_search(monkeypatch, name):
+    # the oracle runs on a second parse, so the two searches share no memo
+    final = complete(parse(TEXTS[name]).system).final_system
+    oracle_final = complete(parse(TEXTS[name]).system).final_system
+    tested = _record_tested_orders(monkeypatch)
+    for seed in range(3):
+        tested.clear()
+        got = _outcome(lambda s, seed: involutive_order(s, seed=seed), final, seed)
+        assert got == _outcome(_involutive_order_by_each_order, oracle_final, seed), (name, seed)
+        if isinstance(got, str):
+            continue
+        # every order the jump skips must fail the involution test
+        for o in set(range(max(final.order, 1), got[0])) - set(tested):
+            assert not is_involutive_symbol(oracle_final, o, seed=seed).involutive, (name, seed, o)
+
+
+def test_involutive_order_skips_the_flagship_orders_its_certificate_rules_out(monkeypatch):
+    # the order-2 certificate names a nonzero spot at order 4, so 3 and 4 are never tested
+    final = complete(parse(BENCH_TEXTS["flagship"]).system).final_system
+    tested = _record_tested_orders(monkeypatch)
+    order, _ = involutive_order(final)
+    assert (order, tested) == (5, [2, 5])

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import BENCH_TEXTS, CORPUS_TEXTS
 from formalpde.completion import complete
 from formalpde.hilbert import compare, hilbert_function, principal_class_series
 from formalpde.jetspace import monomial_count
-from formalpde.pdesystem import LinearSystem
+from formalpde.parser import parse
+from formalpde.pdesystem import LinearSystem, slice_at
 
 
 def test_series_all_quadrics_is_binomial():
@@ -112,3 +114,44 @@ def test_regular_sequence_corpus_counts_match_series(corpus_systems):
 def test_binomial_total_up_to_n8():
     for n in range(1, 9):
         assert principal_class_series([2] * n, n, n).total() == 2 ** n
+
+
+def _slice_differences(sys, truncation):
+    """dim R_t - dim R_{t-1} from prolonged eliminations alone, on a fresh memo."""
+    fresh = sys.replace(sys.equations)
+    dims = [slice_at(fresh, t).dimension for t in range(truncation + 1)]
+    return tuple(b - a for a, b in zip([0] + dims, dims))
+
+
+TEXTS = {**CORPUS_TEXTS, **BENCH_TEXTS}
+
+
+@pytest.mark.parametrize("name", list(TEXTS))
+def test_hilbert_function_matches_slice_differences(name):
+    raw = parse(TEXTS[name]).system
+    report = complete(raw)
+    final = report.final_system
+    for sys in (raw,) if final is raw else (raw, final):
+        trunc = 2 * sys.order + sys.n + 3
+        assert hilbert_function(sys, trunc).coefficients == _slice_differences(sys, trunc), name
+
+
+def _full_rref_keys(sys):
+    return {key for key in sys._cache if key[0] == "_full_rref"}
+
+
+def test_hilbert_function_of_certified_system_adds_no_prolonged_elimination():
+    report = complete(parse(BENCH_TEXTS["five-var"]).system)
+    final = report.final_system
+    assert report.verdict == "formally_integrable" and not report.window_limited
+    before = _full_rref_keys(final)
+    assert hilbert_function(final, 8).coefficients == (1, 5, 10, 10, 5, 1, 0, 0, 0)
+    assert _full_rref_keys(final) == before
+
+
+def test_hilbert_function_of_window_limited_system_counts_slices():
+    report = complete(parse(CORPUS_TEXTS["example2"]).system)
+    final = report.final_system
+    assert report.window_limited
+    hilbert_function(final, 8)
+    assert {("_full_rref", t) for t in range(9)} <= _full_rref_keys(final)
