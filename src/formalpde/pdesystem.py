@@ -12,6 +12,7 @@ Systems are treated as immutable; every operation returns a new value.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -255,19 +256,31 @@ def projected_system(sys: LinearSystem, s: int) -> LinearSystem:
     return sys.replace([e for e in _equations_from_rref(result, columns) if e.order <= sys.order])
 
 
-def _power_expand(mu, a_rows, n: int) -> dict:
-    """Expand prod_i (sum_j A[i][j] x_j)^{mu_i} as {multi-index: coefficient}."""
-    poly = {(0,) * n: Fraction(1)}
-    for i, e in enumerate(mu):
-        for _ in range(e):
-            new: dict = {}
-            for nu, c in poly.items():
-                for j, a in enumerate(a_rows[i]):
-                    if a:
-                        key = tuple(x + (1 if t == j else 0) for t, x in enumerate(nu))
-                        new[key] = new.get(key, Fraction(0)) + c * a
-            poly = new
-    return poly
+@functools.lru_cache(maxsize=64)
+def _expansion_steps(n: int, degree: int) -> tuple:
+    """Steps (code of mu, code of mu - 1_i, i), i + 1 the class of mu, of the codes
+    sum_j mu_j B^j, B = degree + 1, for 0 < |mu| <= degree; {code: index} at degree."""
+    code = {mu: sum(e * (degree + 1) ** j for j, e in enumerate(mu)) for mu in js.multi_indices_upto(n, degree)}
+    steps = [(c, c - (degree + 1) ** (js.class_of(mu) - 1), js.class_of(mu) - 1) for mu, c in code.items() if any(mu)]
+    return steps, {code[mu]: b for b, mu in enumerate(js.multi_indices(n, degree))}
+
+
+def substitution(a, degree: int) -> tuple[list, int]:
+    """(expansions, den) of x^mu -> (Ax)^mu = prod_i (sum_j A[i][j] x_j)^{mu_i}:
+    den*A is the least integral multiple of A; expansions lists (den*A x)^mu for
+    each mu of order `degree` in `multi_indices` order, as {index of nu: int}.
+    Built one order at a time, (Ax)^mu = (Ax)^{mu - 1_i} (Ax)_i, on the codes."""
+    steps, top = _expansion_steps(len(a), degree)
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    forms = [[((degree + 1) ** j, int(x * den)) for j, x in enumerate(row) if x] for row in a]
+    coded = {0: {0: 1}}
+    for code, lower, i in steps:
+        acc: dict = {}
+        for nu, v in coded[lower].items():
+            for step, x in forms[i]:
+                acc[nu + step] = acc.get(nu + step, 0) + v * x
+        coded[code] = {nu: v for nu, v in acc.items() if v}
+    return [{top[nu]: v for nu, v in coded[code].items()} for code in top], den
 
 
 def change_coordinates(sys: LinearSystem, change: CoordinateChange) -> LinearSystem:
@@ -276,22 +289,19 @@ def change_coordinates(sys: LinearSystem, change: CoordinateChange) -> LinearSys
         raise ValueError("coordinate changes apply to rational-coefficient systems only")
     if change.n != sys.n:
         raise ValueError("coordinate change size mismatch")
-    a = change.matrix
-    cache: dict = {}
+    expansions = {}
+    for t in {js.order_of(jc.mu) for e in sys.equations for jc in e.terms}:
+        level, den = substitution(change.matrix, t)
+        monomials = js.multi_indices(sys.n, t)
+        for mu, expansion in zip(monomials, level):
+            expansions[mu] = {monomials[nu]: Fraction(w, den**t) for nu, w in expansion.items()}
     new_eqs = []
     for e in sys.equations:
         terms: dict = {}
         for jc, c in e.terms.items():
-            if jc.mu not in cache:
-                cache[jc.mu] = _power_expand(jc.mu, a, sys.n)
-            for nu, w in cache[jc.mu].items():
-                key = JetCoordinate(jc.k, nu)
-                v = terms.get(key, Fraction(0)) + c * w
-                if v:
-                    terms[key] = v
-                else:
-                    terms.pop(key, None)
-        new_eqs.append(Equation(terms))
+            for nu, w in expansions[jc.mu].items():
+                terms[jc.k, nu] = terms.get((jc.k, nu), 0) + c * w
+        new_eqs.append(Equation(terms))  # drops the terms that cancelled
     return sys.replace(new_eqs)
 
 
@@ -389,13 +399,12 @@ def stable_order(sys: LinearSystem) -> int:
 
     Raises when that does not happen by order 2q + n + 2.
     """
+    from .spencer import symbol_dim  # spencer imports this module
     prev = slice_at(sys, 0).dimension
     for t in range(1, 2 * sys.order + sys.n + 3):
         cur = slice_at(sys, t).dimension
-        if cur == prev:
-            result, columns = _symbol_rref(sys, t)
-            if len(result.pivots) == len(columns):
-                return t - 1
+        if cur == prev and symbol_dim(sys, t) == 0:
+            return t - 1
         prev = cur
     raise ValueError("not finite type within the window; apply relative localization first")
 

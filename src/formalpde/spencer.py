@@ -12,6 +12,11 @@ dim g_{order+1} = sum_i i*alpha_i must hold.  Equality in any frame implies
 involutivity (the multiplicative prolongations of the solved equations are
 always independent), so the frame search can only fail towards false
 negatives, and those are cross-checked against the delta-cohomology.
+
+Symbols and frame tableaux are read off one memoised elimination per order,
+the identity-frame symbol RREF, by two exact rules: g_t = 0 once g_{t-1} = 0
+(:func:`symbol`), and a frame's tableau is that RREF carried over by the
+substitution x^mu -> (Ax)^mu (:func:`janet_tableau`).
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from dataclasses import dataclass
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, change_coordinates, memoised
-from .ratlinalg import ExactMatrix, rank
+from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, memoised, substitution
+from .ratlinalg import ExactMatrix, integer_row, pivot_columns, rank, rref
 
 # random unimodular frames tried after the identity frame fails Cartan's test,
 # each made of FRAME_STEPS random row additions kept within [-FRAME_BOUND, FRAME_BOUND]
@@ -110,6 +115,12 @@ class InvolutionResult:
 
 @memoised
 def symbol(sys: LinearSystem, order: int) -> SymbolSpace:
+    """g_order from the RREF of the symbol matrix, or empty with no elimination
+    when g_{order-1} is: for v in g_order each derivative d_i v satisfies the
+    conditions defining g_{order-1}, so d_i v = 0 for every i and v = 0."""
+    if order >= 1 and symbol_dim(sys, order - 1) == 0:
+        columns = tuple(js.jets_exact(sys.n, sys.m, order))
+        return SymbolSpace(order, len(columns), ExactMatrix.from_rows([{}] * len(columns), 0, sys.params), columns, ())
     result, columns = _symbol_rref(sys, order)
     pivot_set = set(result.pivots)
     free = tuple(columns[j] for j in range(len(columns)) if j not in pivot_set)
@@ -205,19 +216,53 @@ def cohomology(sys: LinearSystem, s: int, order: int) -> DeltaReport:
 
 
 def janet_tableau(sys: LinearSystem, order: int, frame: CoordinateChange | None = None) -> JanetTableau:
-    """Row-reduce the symbol at `order` class-descending and count solved equations."""
+    """Per-class counts of the pivots (beta) and free columns (alpha) of the
+    symbol RREF at `order` in `frame`, from the identity-frame symbol.
+
+    In a frame A the symbol rows span the image of the identity rows under
+    x^mu -> (Ax)^mu, and g_order that of the identity g_order under (A^-1 v)_mu
+    = sum_nu [x^nu](A^-1 x)^mu v_nu.  An RREF is fixed by its row space, so the
+    forward elimination of the smaller image is exact: the r rows lead with
+    the pivots, the d symbol vectors, last column first, with the free ones.
+    """
     if frame is None:
         frame = CoordinateChange.identity(sys.n)
-    work = sys if frame.is_identity() else change_coordinates(sys, frame)
-    result, columns = _symbol_rref(work, order)
-    beta = [0] * sys.n
-    for p in result.pivots:
-        beta[js.class_of(columns[p].mu) - 1] += 1
-    alpha = []
-    for i in range(1, sys.n + 1):
-        total = sys.m * js.class_count(sys.n, order, i) if order >= 1 else 0
-        alpha.append(total - beta[i - 1])
+    g = symbol(sys, order)
+    free = g.free_columns
+    if not frame.is_identity():
+        if sys.params or frame.n != sys.n:
+            raise ValueError("a frame needs a rational system in as many variables")
+        if 0 < g.dim < g.ambient:
+            free = _frame_free_columns(sys, order, frame)
+    alpha = [sum(js.class_of(jc.mu) == i for jc in free) for i in range(1, sys.n + 1)]
+    beta = [sys.m * js.class_count(sys.n, order, i + 1) - a for i, a in enumerate(alpha)]
     return JanetTableau(order, tuple(beta), tuple(alpha), frame)
+
+
+def _frame_free_columns(sys: LinearSystem, order: int, frame: CoordinateChange) -> tuple:
+    result, columns = _symbol_rref(sys, order)
+    m, r = sys.m, len(result.pivots)
+    rows = r <= len(columns) - r
+    if rows:
+        vectors, table = result.matrix.sparse[:r], substitution(frame.matrix, order)[0]
+    else:  # table[nu][mu] is the x^nu coefficient of (A^-1 x)^mu, A^-1 read off rref([A | I])
+        vectors, n = symbol(sys, order).basis.transpose().sparse, sys.n
+        reduced = rref(ExactMatrix([row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(frame.matrix)]))
+        table = [{} for _ in columns[::m]]
+        inverse = [[row.get(n + j, 0) for j in range(n)] for row in reduced.matrix.sparse]
+        for mu, expansion in enumerate(substitution(inverse, order)[0]):
+            for nu, w in expansion.items():
+                table[nu][mu] = w
+    sign, images = 1 if rows else -1, []  # negated columns lead with the last one
+    for v in vectors:
+        image: dict = {}
+        for c, x in integer_row(v).items():
+            mu, k = divmod(c, m)
+            for nu, w in table[mu].items():
+                image[sign * (nu * m + k)] = image.get(sign * (nu * m + k), 0) + x * w
+        images.append({c: x for c, x in image.items() if x})
+    leading = {abs(c) for c in pivot_columns(images)}
+    return tuple(jc for c, jc in enumerate(columns) if (c in leading) != rows)
 
 
 def random_unimodular(n: int, rng: random.Random) -> CoordinateChange:
@@ -239,10 +284,6 @@ def _frames(n: int, seed: int) -> tuple:
     """The N_FRAMES random unimodular frames of the search, drawn once per (n, seed)."""
     rng = random.Random(seed)
     return tuple(random_unimodular(n, rng) for _ in range(N_FRAMES))
-
-
-def _beta_score(tableau: JanetTableau) -> tuple:
-    return tuple(reversed(tableau.beta))
 
 
 def acyclicity_scan(sys: LinearSystem, s_max: int, order: int, window: int):
@@ -304,7 +345,7 @@ def _involution_test(sys: LinearSystem, order: int, seed: int) -> InvolutionResu
     for frame in _frames(sys.n, seed):
         tried += 1
         cand = janet_tableau(sys, order, frame)
-        if _beta_score(cand) > _beta_score(best):
+        if cand.beta[::-1] > best.beta[::-1]:  # most solved equations of the highest class
             best = cand
         if best.multiplicative_sum == dim_next:
             cert = InvolutionCertificate("cartan", tried, dim_next, best.multiplicative_sum, window, ())

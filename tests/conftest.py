@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from formalpde import jetspace as js
 from formalpde.parser import parse
@@ -72,3 +73,13 @@ def corpus_systems():
 
 def digits_of(jc) -> tuple:
     return js.digits(jc.mu)
+
+
+@st.composite
+def constant_coefficient_systems(draw) -> LinearSystem:
+    """Random systems with n <= 3, m <= 2, order <= 2 and coefficients in -2..2."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    jets = js.jets_upto(n, m, 2)
+    equation = st.dictionaries(st.sampled_from(jets), st.integers(-2, 2), min_size=1, max_size=4)
+    equations = draw(st.lists(equation, min_size=1, max_size=4))
+    return LinearSystem(n, m, [{jc: Fraction(c) for jc, c in e.items()} for e in equations])

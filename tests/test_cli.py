@@ -298,3 +298,26 @@ def test_analyze_flagship_builds_tableaux_at_orders_2_and_5_only(tmp_path, capsy
     assert main(["--report", "json", "analyze", str(f)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["involution"]["involutive_prolongation_order"] == 5
     assert orders == {2, 5}
+
+
+@pytest.mark.parametrize(
+    "name, argv, top",
+    [("five-var", ["hilbert", "--file", "{}", "--trunc", "8"], 6), ("flagship", ["analyze", "{}"], 5)],
+)
+def test_no_symbol_matrix_above_a_vanished_symbol(name, argv, top, tmp_path, capsys, monkeypatch):
+    # g_6 of five-var and g_5 of the flagship are 0, so every higher symbol is
+    from formalpde import pdesystem
+
+    orders = set()
+    build = pdesystem.symbol_matrix
+
+    def spy(sys, order):
+        orders.add(order)
+        return build(sys, order)
+
+    monkeypatch.setattr(pdesystem, "symbol_matrix", spy)
+    f = tmp_path / f"{name}.pde"
+    f.write_text(BENCH_TEXTS[name], encoding="utf-8")
+    assert main(["--report", "json"] + [a.format(f) for a in argv]) == EXIT_OK
+    capsys.readouterr()
+    assert top in orders and max(orders) == top

@@ -3,11 +3,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import CORPUS_TEXTS, make_system
+from conftest import BENCH_TEXTS, CORPUS_TEXTS, constant_coefficient_systems, make_system
+from formalpde import jetspace as js
 from formalpde.parser import parse
+from formalpde.pdesystem import CoordinateChange, Equation, _symbol_rref, change_coordinates, symbol_matrix
 from formalpde.ratlinalg import rank
 from formalpde.spencer import (
+    _frames,
     cohomology,
     delta_matrix,
     is_involutive_symbol,
@@ -322,3 +326,126 @@ def test_report_after_involution_test_builds_no_delta_map(name, monkeypatch):
     calls.clear()
     build_report(text, sys)
     assert not [args for _, args in calls if args[0] is final]
+
+
+TEXTS = {**CORPUS_TEXTS, **BENCH_TEXTS}
+
+
+def _power_expanded(sys, frame):
+    """d_i -> sum_j A[i][j] d_j, each term expanded as prod_i (sum_j A[i][j] x_j)^{mu_i}."""
+    equations = []
+    for e in sys.equations:
+        terms = {}
+        for jc, c in e.terms.items():
+            poly = {(0,) * sys.n: c}
+            for i, power in enumerate(jc.mu):
+                for _ in range(power):
+                    step = {}
+                    for nu, w in poly.items():
+                        for j, a in enumerate(frame.matrix[i]):
+                            key = tuple(x + (t == j) for t, x in enumerate(nu))
+                            step[key] = step.get(key, 0) + w * a
+                    poly = step
+            for nu, w in poly.items():
+                terms[(jc.k, nu)] = terms.get((jc.k, nu), 0) + w
+        equations.append(Equation(terms))
+    return sys.replace(equations)
+
+
+def _pivot_classes(moved, order):
+    """beta of the symbol RREF of the system in its new coordinates."""
+    result, columns = _symbol_rref(moved, order)
+    beta = [0] * moved.n
+    for p in result.pivots:
+        beta[js.class_of(columns[p].mu) - 1] += 1
+    return tuple(beta)
+
+
+def _test_frames(n, seeds=(0, 1)):
+    """The search frames of the seeds, the reversal permutation and a non-integral frame."""
+    half = [[Fraction(i == j) + Fraction(j == i + 1, 2) for j in range(n)] for i in range(n)]
+    half[-1][0] += Fraction(2, 3)
+    reverse = CoordinateChange.permutation(list(range(n, 0, -1)))
+    return [f for seed in seeds for f in _frames(n, seed)] + [reverse, CoordinateChange(half)]
+
+
+def _check_frame_tableaux(sys, frames):
+    for frame in frames:
+        moved = change_coordinates(sys.replace(sys.equations), frame)
+        assert moved == _power_expanded(sys, frame)
+        for order in range(1, sys.order + 4):
+            assert janet_tableau(sys, order, frame).beta == _pivot_classes(moved, order), (order, frame)
+
+
+@pytest.mark.parametrize("name", list(TEXTS))
+def test_frame_tableau_matches_changed_coordinates(name):
+    sys = parse(TEXTS[name]).system
+    _check_frame_tableaux(sys, _test_frames(sys.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_coefficient_systems())
+def test_frame_tableau_matches_changed_coordinates_on_random_systems(sys):
+    _check_frame_tableaux(sys, _test_frames(sys.n, seeds=(0,))[-6:])
+
+
+@pytest.mark.parametrize("order, eliminated", [(2, 4), (4, 1)])
+def test_frame_tableau_eliminates_the_smaller_side(order, eliminated, monkeypatch):
+    # flagship: r = 4 equations and d = 6 at order 2, so the rows are mapped;
+    # r = 34 and d = 1 at order 4, so the one symbol vector is
+    from formalpde import spencer
+
+    sizes = []
+    forward = spencer.pivot_columns
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return forward(rows)
+
+    sys = parse(BENCH_TEXTS["flagship"]).system
+    monkeypatch.setattr(spencer, "pivot_columns", spy)
+    frame = _frames(sys.n, 0)[0]
+    assert janet_tableau(sys, order, frame).beta == _pivot_classes(change_coordinates(sys, frame), order)
+    assert sizes == [eliminated]
+
+
+def test_frame_tableau_rejects_parametric_systems_and_wrong_sizes():
+    from formalpde.completion import complete
+    from formalpde.purity import localize
+
+    localized = localize(complete(parse(CORPUS_TEXTS["example4"]).system).final_system, 2).system
+    assert localized.params
+    with pytest.raises(ValueError):
+        janet_tableau(localized, 2, CoordinateChange.permutation([2, 1]))
+    flagship = parse(BENCH_TEXTS["flagship"]).system
+    with pytest.raises(ValueError):
+        janet_tableau(flagship, 2, CoordinateChange.permutation([2, 3, 1]))
+
+
+def _fresh_symbol_dim(sys, order):
+    matrix, columns = symbol_matrix(sys, order)
+    return len(columns) - rank(matrix)
+
+
+def _check_symbol_dims(sys):
+    for order in range(2 * sys.order + sys.n + 4):
+        assert symbol_dim(sys, order) == _fresh_symbol_dim(sys, order), order
+
+
+@pytest.mark.parametrize("name", [*TEXTS, "order_zero", "localized"])
+def test_symbol_dim_matches_fresh_elimination(name):
+    from formalpde.completion import complete
+    from formalpde.purity import localize
+
+    if name == "localized":
+        sys = localize(complete(parse(CORPUS_TEXTS["example4"]).system).final_system, 2).system
+        assert sys.params
+    else:
+        sys = parse(TEXTS.get(name, "vars=1; eq: y[]=0")).system
+    _check_symbol_dims(sys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_coefficient_systems())
+def test_symbol_dim_matches_fresh_elimination_on_random_systems(sys):
+    _check_symbol_dims(sys)
