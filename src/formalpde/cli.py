@@ -2,8 +2,10 @@
 
 Reports are plain text by default or deterministic JSON (`--report json`):
 for a fixed input and seed the serialized report is byte-identical across
-runs.  Exit codes: 0 success, 1 analysis inconclusive within the window,
-2 corpus mismatch, 3 input error (unreadable file, parse error or invalid
+runs.  `--seed` draws the frames of the delta-regularity search; it reaches
+only `analyze`, `involution` and `purity`, whose reports name the winning
+frame.  Exit codes: 0 success, 1 analysis inconclusive within the window, 2
+corpus mismatch, 3 input error (unreadable file, parse error or invalid
 option value), 4 internal error (any other exception); 3 and 4 print one
 line, and so does 1 from `hilbert --file`, `inverse` and `purity`, which
 print no report then.
@@ -234,21 +236,21 @@ def _inconclusive(reason) -> int:
 def cmd_inverse(args) -> int:
     text, doc = _load(args.file)
     try:
-        out = _inverse_report(complete(doc.system), args.seed)
+        out = _inverse_report(complete(doc.system))
     except ValueError as exc:
         return _inconclusive(exc)
     _emit(out, args.report)
     return EXIT_OK
 
 
-def _inverse_report(completion, seed: int) -> dict:
+def _inverse_report(completion) -> dict:
     if not completion.integrable:
         raise ValueError("completion inconclusive; inverse system undecided")
     final = completion.final_system
     try:
         out = _inverse_section(final, top=True)
     except ValueError:
-        r = codimension(final, seed=seed)
+        r = codimension(final)
         gens = [g.body() for g in localized_generators(localize(final, r))]
         out = {"finite_dimension": None, "codimension": r, "localized_generators": gens}
     out["note"] = SPENCER_SIGN_NOTE
@@ -274,7 +276,7 @@ def cmd_examples(args) -> int:
         return EXIT_OK
     names = None if args.name in (None, "all") else [args.name]
     try:
-        results = corpus_mod.run_corpus(names, seed=args.seed)
+        results = corpus_mod.run_corpus(names)
     except KeyError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -320,7 +322,7 @@ def make_parser() -> argparse.ArgumentParser:
         prog="formalpde",
         description="Exact analysis of linear constant-coefficient PDE systems",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for the frame search")
+    parser.add_argument("--seed", type=int, default=0, help="frame-search seed of analyze, involution and purity")
     parser.add_argument("--report", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 

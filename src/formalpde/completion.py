@@ -12,7 +12,7 @@ import weakref
 from dataclasses import dataclass
 
 from . import jetspace as js
-from .pdesystem import LinearSystem, _equations_from_rref, _full_rref, projected_system, slice_at
+from .pdesystem import LinearSystem, _equations_from_rref, _full_rref, memoised, projected_system, slice_at
 from .ratlinalg import Poly
 from .spencer import is_involutive_symbol, is_s_acyclic, stabilization_window
 
@@ -150,6 +150,7 @@ def _completion(sys: LinearSystem) -> IntegrabilityReport:
     )
 
 
+@memoised
 def is_completed(sys: LinearSystem) -> bool:
     """True when one more projection step gains nothing at orders <= q."""
     q = sys.order

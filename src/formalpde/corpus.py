@@ -149,7 +149,7 @@ ABSTRACT = {
 }
 
 
-def eval_abstract(name: str, seed: int = 0) -> CorpusResult:
+def eval_abstract(name: str) -> CorpusResult:
     dim, order, par = ABSTRACT[name]
     sys = system(name)
     sl = slice_at(sys, order)
@@ -160,9 +160,9 @@ def eval_abstract(name: str, seed: int = 0) -> CorpusResult:
     return CorpusResult(name, SOURCES[name], checks, ())
 
 
-def eval_example1(seed: int = 0) -> CorpusResult:
+def eval_example1() -> CorpusResult:
     sys = system("example1")
-    inv = is_involutive_symbol(sys, seed=seed)
+    inv = is_involutive_symbol(sys)
     gens = top_generators(sys)
     soc = socle(sys)
     checks = (
@@ -181,12 +181,12 @@ def eval_example1(seed: int = 0) -> CorpusResult:
     return CorpusResult("example1", SOURCES["example1"], checks, ())
 
 
-def eval_example2(seed: int = 0) -> CorpusResult:
+def eval_example2() -> CorpusResult:
     sys = framed("example2")
-    inv = is_involutive_symbol(sys, seed=seed)
-    cd = codimension(sys, seed=seed)
+    inv = is_involutive_symbol(sys)
+    cd = codimension(sys)
     torsion = torsion_generators(sys, 2)
-    purity = is_pure(sys, seed=seed)
+    purity = is_pure(sys)
     checks = (
         Check("involutive_after_frame", "literature", True, inv.involutive),
         Check("codimension", "literature", 2, cd),
@@ -202,7 +202,7 @@ def eval_example2(seed: int = 0) -> CorpusResult:
     return CorpusResult("example2", SOURCES["example2"], checks, ())
 
 
-def eval_example3(seed: int = 0) -> CorpusResult:
+def eval_example3() -> CorpusResult:
     sys = system("example3")
     report = complete(sys)
     gained = tuple(
@@ -210,15 +210,15 @@ def eval_example3(seed: int = 0) -> CorpusResult:
     )
     permuted = framed("example3")
     completed_permuted = complete(permuted).final_system
-    inv = is_involutive_symbol(completed_permuted, seed=seed)
+    inv = is_involutive_symbol(completed_permuted)
     comp = first_order_companion(completed_permuted)
-    purity = is_pure(permuted, seed=seed)
+    purity = is_pure(permuted)
     checks = (
         Check("completion_steps", "literature", 2, report.steps),
         Check("completion_gains", "literature", ("y_{12}", "y_{22}"), gained),
         Check("involutive_after_permutation", "literature", True, inv.involutive),
         Check("characters", "literature", (2, 0, 0), inv.tableau.alpha),
-        Check("codimension", "literature", 2, codimension(report.final_system, seed=seed)),
+        Check("codimension", "literature", 2, codimension(report.final_system)),
         Check("companion_unknowns", "literature", 4, comp.m),
         Check("companion_equations", "literature", 10, len(comp.equations)),
         Check("torsion", "literature", (), tuple(str(t) for t in purity.torsion)),
@@ -227,17 +227,17 @@ def eval_example3(seed: int = 0) -> CorpusResult:
     return CorpusResult("example3", SOURCES["example3"], checks, ())
 
 
-def eval_example4(seed: int = 0) -> CorpusResult:
+def eval_example4() -> CorpusResult:
     sys = system("example4")
-    inv = is_involutive_symbol(sys, seed=seed)
+    inv = is_involutive_symbol(sys)
     loc = localize(sys, 2)
     dim = localized_dimension(loc)
     jets = _par_names(localized_parametric_jets(loc), 1, loc.params)
-    purity = is_pure(sys, seed=seed)
+    purity = is_pure(sys)
     checks = (
         Check("involutive_as_given", "literature", True, inv.involutive),
         Check("identity_frame", "trivial", True, inv.tableau.frame.is_identity()),
-        Check("codimension", "literature", 2, codimension(sys, seed=seed)),
+        Check("codimension", "literature", 2, codimension(sys)),
         Check("localized_dimension", "literature", 3, dim),
         Check("localized_parametric", "literature", ("y", "y_2", "y_3"), jets),
         Check("alpha_crosscheck", "literature", 3, purity.alpha_crosscheck),
@@ -246,7 +246,7 @@ def eval_example4(seed: int = 0) -> CorpusResult:
     return CorpusResult("example4", SOURCES["example4"], checks, ())
 
 
-def eval_example5(seed: int = 0) -> CorpusResult:
+def eval_example5() -> CorpusResult:
     sys_r = system("example5_r")
     sys_rp = system("example5_rprime")
     sys_rs = system("example5_rsecond")
@@ -293,11 +293,11 @@ def eval_example5(seed: int = 0) -> CorpusResult:
     return CorpusResult("example5", SOURCES["example5"], checks, ())
 
 
-def eval_example6_twisted(seed: int = 0) -> CorpusResult:
+def eval_example6_twisted() -> CorpusResult:
     sys = system("example6_twisted")
     report = complete(sys)
     final = report.final_system
-    inv = is_involutive_symbol(final, seed=seed)
+    inv = is_involutive_symbol(final)
     series = principal_class_series((3, 2), 3, 6)
     counted = hilbert_function(final, 6)
     checks = (
@@ -342,7 +342,7 @@ PAR5_THIRD_CURVE = (
 )
 
 
-def eval_example6_third(seed: int = 0) -> CorpusResult:
+def eval_example6_third() -> CorpusResult:
     sys = system("example6_third")
     report = complete(sys)
     final = report.final_system
@@ -350,10 +350,10 @@ def eval_example6_third(seed: int = 0) -> CorpusResult:
     series = principal_class_series((3, 2), 3, 5)
     counted = hilbert_function(final, 5)
     h2g3 = cohomology(final, 2, 3)
-    inv4 = is_involutive_symbol(final, 4, seed=seed)
+    inv4 = is_involutive_symbol(final, 4)
     loc = localize(final, 2)
     gens = generating_sections(loc.system)
-    purity = is_pure(sys, seed=seed)
+    purity = is_pure(sys)
     seq_checks = (
         Check("delta_seq_dims", "literature", (6, 18, 18, 6),
               (symbol_dim(final, 6), 3 * symbol_dim(final, 5), 3 * symbol_dim(final, 4), symbol_dim(final, 3))),
@@ -367,13 +367,13 @@ def eval_example6_third(seed: int = 0) -> CorpusResult:
         Check("par5_list", "literature", PAR5_THIRD_CURVE, _par_names(sl5.parametric)),
         Check("hilbert_function", "literature", (1, 3, 5, 6, 6, 6), counted.coefficients),
         Check("hilbert_matches_series", "literature", True, compare(counted, series).agrees),
-        Check("symbol_not_involutive_at_3", "literature", False, is_involutive_symbol(final, 3, seed=seed).involutive),
+        Check("symbol_not_involutive_at_3", "literature", False, is_involutive_symbol(final, 3).involutive),
         Check("involutive_at_4", "literature", True, inv4.involutive),
         Check("characters_order4", "literature", (6, 0, 0), inv4.tableau.alpha),
         Check("H2_g3_nonzero", "literature", True, h2g3.dim_cohomology > 0),
         Check("H2_g3_cocycles_at_least_13", "literature", True, h2g3.dim_cocycles >= 13),
         Check("H2_g3_coboundaries", "literature", 12, h2g3.dim_coboundaries),
-        Check("codimension", "literature", 2, codimension(final, seed=seed)),
+        Check("codimension", "literature", 2, codimension(final)),
         Check("localized_dimension", "literature", 6, localized_dimension(loc)),
         Check(
             "localized_parametric",
@@ -393,12 +393,12 @@ def eval_example6_third(seed: int = 0) -> CorpusResult:
     return CorpusResult("example6_third", SOURCES["example6_third"], checks, ())
 
 
-def eval_example7(seed: int = 0) -> CorpusResult:
+def eval_example7() -> CorpusResult:
     sys = system("example7")
     report = complete(sys)
-    inv = is_involutive_symbol(sys, 4, seed=seed)
+    inv = is_involutive_symbol(sys, 4)
     cm = characteristic_matrix(sys)
-    purity = is_pure(sys, seed=seed)
+    purity = is_pure(sys)
     minors = tuple(sorted(str(p.primitive()) for p in cm.minors))
 
     def strict_parametric(r):
@@ -446,7 +446,7 @@ def eval_example7(seed: int = 0) -> CorpusResult:
             ("(χ_1)^2 - χ_2*χ_4", "(χ_2)^2 - χ_3*χ_4", "(χ_3)^2", "(χ_4)^2"),
             minors,
         ),
-        Check("codimension", "literature", 4, codimension(sys, seed=seed)),
+        Check("codimension", "literature", 4, codimension(sys)),
         Check("pure", "literature", True, purity.pure),
         Check("dim_R_asserted", "derived", 16, stable_dimension(sys)),
     )
@@ -457,7 +457,7 @@ def eval_example7(seed: int = 0) -> CorpusResult:
     return CorpusResult("example7", SOURCES["example7"], checks, notes)
 
 
-def eval_example7_primed(seed: int = 0) -> CorpusResult:
+def eval_example7_primed() -> CorpusResult:
     sys = system("example7_primed")
     report = complete(sys)
     gained = sum(len(step.gained) for step in report.trace)
@@ -475,18 +475,18 @@ def eval_example7_primed(seed: int = 0) -> CorpusResult:
     return CorpusResult("example7_primed", SOURCES["example7_primed"], checks, ())
 
 
-def eval_example8(seed: int = 0) -> CorpusResult:
+def eval_example8() -> CorpusResult:
     sys = framed("example8")
-    inv = is_involutive_symbol(sys, seed=seed)
+    inv = is_involutive_symbol(sys)
     comp = first_order_companion(sys)
-    inv1 = is_involutive_symbol(comp, seed=seed)
+    inv1 = is_involutive_symbol(comp)
     loc = localize(sys, 1)
     torsion = torsion_generators(sys, 1)
-    purity = is_pure(sys, seed=seed)
+    purity = is_pure(sys)
     checks = (
         Check("involutive_after_frame", "literature", True, inv.involutive),
         Check("characters_order2", "literature", (3, 1, 0), inv.tableau.alpha),
-        Check("codimension", "literature", 1, codimension(sys, seed=seed)),
+        Check("codimension", "literature", 1, codimension(sys)),
         Check("companion_unknowns", "literature", 4, comp.m),
         Check("companion_equations", "literature", 8, len(comp.equations)),
         Check("companion_characters", "literature", (3, 1, 0), inv1.tableau.alpha),
@@ -518,12 +518,12 @@ ENTRIES = {
 }
 
 
-def run_corpus(names=None, seed: int = 0) -> list[CorpusResult]:
+def run_corpus(names=None) -> list[CorpusResult]:
     if names is None:
         names = list(ENTRIES)
     results = []
     for name in names:
         if name not in ENTRIES:
             raise KeyError(f"unknown corpus entry {name!r}")
-        results.append(ENTRIES[name](seed))
+        results.append(ENTRIES[name]())
     return results

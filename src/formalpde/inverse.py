@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .pdesystem import LinearSystem, _full_rref, memoised, slice_at, stable_order
-from .ratlinalg import ExactMatrix, ParamScalar, kernel_basis, rank, rref
+from .pdesystem import LinearSystem, _full_rref, memoised, stable_order
+from .ratlinalg import ExactMatrix, ParamScalar, rank, rref
 
 SPENCER_SIGN_NOTE = "Spencer operator taken with Macaulay's sign: (d_i f)_mu = f_{mu+1_i}"
 
@@ -122,24 +122,14 @@ def _stabilized_order(sys: LinearSystem) -> int:
 def _nakayama(sys: LinearSystem):
     """(parametric jets, basis section lifting each jet, top jets) of a
     finite-dimensional R: the top jets are the non-pivot coordinates of
-    m*R = sum_i d_i(R) in parametric-jet coordinates."""
-    o = _stabilized_order(sys)
-    parametric = list(slice_at(sys, o).parametric)
-    basis = section_basis(sys, o + 1)
-    index = {jc: t for t, jc in enumerate(parametric)}
-    rows = []
-    for f in basis:
-        for i in range(1, sys.n + 1):
-            g = spencer_apply(i, f)
-            rows.append({index[jc]: c for jc, c in g.coefficients.items() if jc in index})
-    pivots = set(rref(ExactMatrix.from_rows(rows, len(parametric), sys.params)).pivots)
-    by_jet = {}  # each section under the first parametric jet where it is 1; the first one kept
-    for f in basis:
-        for jc in parametric:
-            if f.coefficient(jc) == 1:
-                by_jet.setdefault(jc, f)
-                break
-    return parametric, by_jet, [jc for j, jc in enumerate(parametric) if j not in pivots]
+    m*R = sum_i d_i(R) in parametric-jet coordinates, the free columns of
+    :func:`_multiplication_rref`.  The stable order o has g_{o+1} = 0, so the
+    parametric jets at horizon o + 1 are those at o, and the section lifting
+    jet t is section t through order o + 1."""
+    pivots = set(_multiplication_rref(sys).pivots)
+    parametric = multiplication_matrices(sys)[1]
+    lifts = dict(zip(parametric, section_basis(sys, _stabilized_order(sys) + 1)))
+    return parametric, lifts, [jc for j, jc in enumerate(parametric) if j not in pivots]
 
 
 def top_generators(sys: LinearSystem) -> list[ModularEquation]:
@@ -149,8 +139,8 @@ def top_generators(sys: LinearSystem) -> list[ModularEquation]:
     sparse lifts are broken by the jet ordering, which reproduces the
     classical single-dual-jet generator shapes.
     """
-    _, by_jet, top = _nakayama(sys)
-    return [ModularEquation(by_jet[jc], sys.m, sys.var_offset) for jc in top]
+    _, lifts, top = _nakayama(sys)
+    return [ModularEquation(lifts[jc], sys.m, sys.var_offset) for jc in top]
 
 
 def residue_map(sys: LinearSystem, order: int):
@@ -186,14 +176,24 @@ def multiplication_matrices(sys: LinearSystem):
     return tuple(mats), tuple(basis_jets)
 
 
+@memoised
+def _multiplication_rref(sys: LinearSystem):
+    """RREF of d_1..d_n stacked: row (i, t) of the stack is the t-th coordinate
+    of d_i on M, which is also the Spencer derivative d_i of section t read at
+    the parametric jets.  Its kernel is the socle of M, and its row space is
+    m*R, so top and socle come from this one elimination."""
+    mats, basis_jets = multiplication_matrices(sys)
+    stacked = [row for m in mats for row in m.sparse]
+    return rref(ExactMatrix.from_rows(stacked, len(basis_jets), sys.params))
+
+
 def socle(sys: LinearSystem):
     """Basis of {x in M : d_i x = 0 for all i} over the parametric-jet basis.
 
     Returns a list of residue-class vectors, each a dict {jet: coefficient}.
     """
-    mats, basis_jets = multiplication_matrices(sys)
-    stacked = [row for m in mats for row in m.sparse]
-    kern = kernel_basis(ExactMatrix.from_rows(stacked, len(basis_jets), sys.params))
+    basis_jets = multiplication_matrices(sys)[1]
+    kern = _multiplication_rref(sys).kernel()
     return [{basis_jets[i]: v for i, v in vec.items()} for vec in kern.transpose().sparse]
 
 
@@ -241,7 +241,7 @@ def generating_sections(sys: LinearSystem) -> list[ModularEquation]:
     derivative closure fills R.  The classical localized one-generator
     examples come out of the fallback.
     """
-    parametric, by_jet, chosen = _nakayama(sys)
+    parametric, lifts, chosen = _nakayama(sys)
     total = len(parametric)
     current = derivative_closure_dimension(sys, chosen)
     for jc in reversed(parametric):
@@ -253,4 +253,4 @@ def generating_sections(sys: LinearSystem) -> list[ModularEquation]:
         if grown > current:
             chosen, current = chosen + [jc], grown
     chosen.sort(key=js.display_key)
-    return [ModularEquation(by_jet[jc], sys.m, sys.var_offset) for jc in chosen]
+    return [ModularEquation(lifts[jc], sys.m, sys.var_offset) for jc in chosen]

@@ -23,6 +23,7 @@ from .pdesystem import (
     LinearSystem,
     change_coordinates,
     companion_unknowns,
+    memoised,
     prolong,
     slice_at,
     stable_dimension,
@@ -38,7 +39,6 @@ class LocalizedSystem:
     params: int  # s = n - r
     r: int
     system: LinearSystem
-    origin: LinearSystem
 
     def original_to_local(self, jc: JetCoordinate):
         """Image of an original jet: (chi-monomial coefficient, localized jet)."""
@@ -85,32 +85,32 @@ def localize(sys: LinearSystem, r: int) -> LocalizedSystem:
 
     Requires a completed system: the class-killing behaviour of the
     localization relies on the compatibility equations already being present.
-    The memo is written out, not `memoised`: ``("localize", r)`` in the cache
-    of `sys` keeps the localized system, not the `LocalizedSystem`, whose
-    `origin` would form a cycle, and at r = n the QQ system itself is returned.
+    At r = n the QQ system itself is returned, unmemoised: in the memo of
+    `sys` it would form a cycle.
     """
     if not 0 <= r <= sys.n:
         raise ValueError("localization codimension out of range")
     if sys.params:
         raise ValueError("system is already localized")
+    if not is_completed(sys):
+        raise ValueError("system must be completed before localization")
     s = sys.n - r
-    key = ("localize", r)
-    if key not in sys._cache:
-        if not is_completed(sys):
-            raise ValueError("system must be completed before localization")
-        if s == 0:  # the identity: no parameters, so keep the QQ system and its memo
-            return LocalizedSystem(0, r, sys, sys)
-        eqs = []
-        for e in sys.equations:
-            terms: dict = {}
-            for jc, c in e.terms.items():
-                prefix = jc.mu[:s]
-                local = JetCoordinate(jc.k, jc.mu[s:])
-                add = ParamScalar(Poly(s, {prefix: Fraction(c)}))
-                terms[local] = terms.get(local, ParamScalar.zero(s)) + add
-            eqs.append(Equation(terms))
-        sys._cache[key] = LinearSystem(r, sys.m, eqs, params=s, var_offset=s)
-    return LocalizedSystem(s, r, sys._cache[key], sys)
+    return LocalizedSystem(s, r, _substituted(sys, s) if s else sys)
+
+
+@memoised
+def _substituted(sys: LinearSystem, s: int) -> LinearSystem:
+    """`sys` over QQ(chi_1..chi_s) in its trailing n - s variables."""
+    eqs = []
+    for e in sys.equations:
+        terms: dict = {}
+        for jc, c in e.terms.items():
+            prefix = jc.mu[:s]
+            local = JetCoordinate(jc.k, jc.mu[s:])
+            add = ParamScalar(Poly(s, {prefix: Fraction(c)}))
+            terms[local] = terms.get(local, ParamScalar.zero(s)) + add
+        eqs.append(Equation(terms))
+    return LinearSystem(sys.n - s, sys.m, eqs, params=s, var_offset=s)
 
 
 def localized_dimension(loc: LocalizedSystem) -> int:

@@ -336,16 +336,12 @@ def _involution_test(sys: LinearSystem, order: int, seed: int) -> InvolutionResu
         cert = InvolutionCertificate("trivial", 0, symbol_dim(sys, order + 1), 0, window, ())
         return InvolutionResult(not sys.equations, tableau, cert)
     dim_next = symbol_dim(sys, order + 1)
-    tableau = janet_tableau(sys, order)
-    if tableau.multiplicative_sum == dim_next:
-        cert = InvolutionCertificate("cartan", 0, dim_next, tableau.multiplicative_sum, window, ())
-        return InvolutionResult(True, tableau, cert)
-    best = tableau
-    tried = 0
-    for frame in _frames(sys.n, seed):
-        tried += 1
+    best = None
+    # frame 0 is the identity, so `tried` counts the random frames, drawn only if it fails
+    for tried in range(N_FRAMES + 1):
+        frame = _frames(sys.n, seed)[tried - 1] if tried else CoordinateChange.identity(sys.n)
         cand = janet_tableau(sys, order, frame)
-        if cand.beta[::-1] > best.beta[::-1]:  # most solved equations of the highest class
+        if best is None or cand.beta[::-1] > best.beta[::-1]:  # most solved equations of the highest class
             best = cand
         if best.multiplicative_sum == dim_next:
             cert = InvolutionCertificate("cartan", tried, dim_next, best.multiplicative_sum, window, ())

@@ -1,0 +1,62 @@
+"""Digest every CLI report, for a byte-identity check between two checkouts.
+
+For each seed given on the command line it runs, in this process and in
+json and text: `analyze`, `involution`, `inverse`, `purity` and
+`hilbert --file --trunc 7` on the 16 corpus texts and the 3 bench inputs,
+plus `examples run all`.  Each run prints one line,
+
+    <seed> <report mode> <command> <system> <sha256 of stdout, stderr, exit code>
+
+so two checkouts compare with `diff`.  The `formalpde` that is imported is the
+first on `PYTHONPATH`; the inputs are this checkout's.  Against a parent
+checkout in ../parent:
+
+    PYTHONPATH=src python3 tests/compare_cli.py 0 1 2 > change.txt
+    PYTHONPATH=../parent/src python3 tests/compare_cli.py 0 1 2 > parent.txt
+    diff parent.txt change.txt && echo identical
+
+Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import tempfile
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+sys.path.insert(0, str(TESTS))
+
+from conftest import BENCH_TEXTS, CORPUS_TEXTS  # noqa: E402
+from make_report_pins import COMMANDS, run_cli  # noqa: E402
+
+
+def digests(seeds: list[int]):
+    """(seed, mode, command, system, digest) of every run, in a fixed order."""
+    texts = {**CORPUS_TEXTS, **BENCH_TEXTS}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = Path(tmp) / f"{name}.pde"
+            paths[name].write_text(text, encoding="utf-8")
+        for seed in seeds:
+            for mode in ("json", "text"):
+                flags = ["--seed", str(seed), "--report", mode]
+                for command, template in COMMANDS.items():
+                    for name, path in paths.items():
+                        yield seed, mode, command, name, run_cli(flags + [a.format(file=path) for a in template])
+                yield seed, mode, "examples", "all", run_cli(flags + ["examples", "run", "all"])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("seeds", nargs="+", type=int, help="frame seeds to run")
+    args = parser.parse_args(argv)
+    for row in digests(args.seeds):
+        print(*row, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

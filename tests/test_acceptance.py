@@ -209,7 +209,7 @@ def test_criterion_9_example7_flagship():
 
     from formalpde.corpus import eval_example7
 
-    result = eval_example7(0)
+    result = eval_example7()
     assert result.passed
     assert any("16" in note and "8" in note for note in result.notes)
     assert stable_dimension(sys) == 16

@@ -75,7 +75,7 @@ def test_cli_examples_unknown_name(capsys):
 
 
 def test_cli_examples_mismatch_exit_code(capsys, monkeypatch):
-    def broken(seed=0):
+    def broken():
         return corpus.CorpusResult(
             "broken",
             "synthetic",
@@ -186,7 +186,7 @@ def test_report_flagship_notes_and_values():
 
 def test_corpus_provenance_tags_present():
     for name, fn in corpus.ENTRIES.items():
-        result = fn(0)
+        result = fn()
         assert result.source
         for check in result.checks:
             assert check.provenance in ("literature", "derived", "trivial"), (name, check.key)

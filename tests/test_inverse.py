@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS_TEXTS, make_system
+from conftest import BENCH_TEXTS, CORPUS_TEXTS, make_system
 from formalpde import jetspace as js
+from formalpde.completion import complete
 from formalpde.inverse import (
     ModularEquation,
     Section,
+    _nakayama,
     derivative_closure_dimension,
     generating_sections,
+    multiplication_matrices,
     residue_map,
     section_basis,
     socle,
@@ -19,7 +22,8 @@ from formalpde.inverse import (
 )
 from formalpde.jetspace import JetCoordinate
 from formalpde.parser import parse
-from formalpde.pdesystem import prolonged_equations, slice_at
+from formalpde.pdesystem import prolonged_equations, slice_at, stable_order
+from formalpde.ratlinalg import ExactMatrix, kernel_basis, rref
 
 F = Fraction
 
@@ -206,3 +210,106 @@ def test_section_basis_is_transposed_residue_map(name):
             assert f.coefficients == {jc: vec[t] for jc, vec in residues.items() if t in vec}
             assert [f.coefficient(jc) for jc in parametric] == [int(u == t) for u in range(len(parametric))]
             assert section_satisfies(sys, f)
+
+
+def _nakayama_by_spencer_operator(sys):
+    """Oracle: m*R spanned by d_i of every basis section through order o + 1,
+    its RREF pivots in parametric-jet coordinates, each parametric jet lifted
+    to the first basis section that is 1 there."""
+    o = stable_order(sys)
+    parametric = list(slice_at(sys, o).parametric)
+    basis = section_basis(sys, o + 1)
+    index = {jc: t for t, jc in enumerate(parametric)}
+    rows = []
+    for f in basis:
+        for i in range(1, sys.n + 1):
+            g = spencer_apply(i, f)
+            rows.append({index[jc]: c for jc, c in g.coefficients.items() if jc in index})
+    pivots = set(rref(ExactMatrix.from_rows(rows, len(parametric), sys.params)).pivots)
+    by_jet = {}  # each section under the first parametric jet where it is 1; the first one kept
+    for f in basis:
+        for jc in parametric:
+            if f.coefficient(jc) == 1:
+                by_jet.setdefault(jc, f)
+                break
+    return parametric, by_jet, [jc for j, jc in enumerate(parametric) if j not in pivots]
+
+
+def _socle_by_kernel_basis(sys):
+    """Oracle: the kernel of the stacked multiplication matrices, eliminated afresh."""
+    mats, basis_jets = multiplication_matrices(sys)
+    stacked = [row for m in mats for row in m.sparse]
+    kern = kernel_basis(ExactMatrix.from_rows(stacked, len(basis_jets), sys.params))
+    return [{basis_jets[i]: v for i, v in vec.items()} for vec in kern.transpose().sparse]
+
+
+def _inverse_systems(text):
+    """The completed system when it is finite type, then every QQ(chi)
+    system that `is_pure` localizes to."""
+    from formalpde import purity
+
+    final = complete(parse(text).system).final_system
+    systems = []
+    try:
+        stable_order(final)
+        systems.append(final)
+    except ValueError:
+        pass
+    localize = purity.localize
+
+    def recorded(sys, r):
+        loc = localize(sys, r)
+        if loc.params and all(loc.system is not s for s in systems):
+            systems.append(loc.system)
+        return loc
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(purity, "localize", recorded)
+        purity.is_pure(parse(text).system)
+    return systems
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_TEXTS) + ["flagship"])
+def test_nakayama_matches_spencer_operator_construction(name):
+    # m*R is the row space of the stacked multiplication matrices, and the
+    # lift of parametric jet t is section t through order o + 1
+    text = BENCH_TEXTS["flagship"] if name == "flagship" else CORPUS_TEXTS[name]
+    systems = _inverse_systems(text)
+    for sys in systems:
+        parametric, by_jet, top = _nakayama_by_spencer_operator(sys)
+        got_parametric, lifts, got_top = _nakayama(sys)
+        assert list(got_parametric) == parametric, name
+        assert got_top == top, name
+        assert lifts == by_jet, name
+        assert [g.body() for g in top_generators(sys)] == [
+            ModularEquation(by_jet[jc], sys.m, sys.var_offset).body() for jc in top
+        ], name
+        assert socle(sys) == _socle_by_kernel_basis(sys), name
+
+
+def test_nakayama_cases_cover_finite_and_localized_systems():
+    # the parametrized oracle test above reaches both kinds of system
+    finite = _inverse_systems(CORPUS_TEXTS["example1"])
+    localized = _inverse_systems(CORPUS_TEXTS["example6_third"])
+    assert [s.params for s in finite] == [0]
+    assert localized and all(s.params for s in localized)
+
+
+@pytest.mark.parametrize("name", ["example1", "example5_r", "example7"])
+def test_socle_after_top_generators_runs_no_elimination(name, monkeypatch):
+    # top and socle share one elimination of the stacked multiplication matrices
+    from formalpde import ratlinalg
+
+    sys = parse(CORPUS_TEXTS[name]).system
+    top_generators(sys)
+    eliminated = []
+    for fn in ("_echelon_int", "_echelon_param"):
+        original = getattr(ratlinalg, fn)
+
+        def recorded(rows, original=original, fn=fn):
+            eliminated.append(fn)
+            return original(rows)
+
+        monkeypatch.setattr(ratlinalg, fn, recorded)
+    assert socle(sys)
+    assert eliminated == []

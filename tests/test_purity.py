@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import CORPUS_TEXTS
+from conftest import BENCH_TEXTS, CORPUS_TEXTS
 from formalpde import jetspace as js
-from formalpde.completion import complete
+from formalpde.completion import codimension, complete, involutive_order
 from formalpde.parser import parse
 from formalpde.pdesystem import CoordinateChange, change_coordinates, prolong
 from formalpde.purity import (
@@ -255,3 +255,19 @@ def test_torsion_after_localized_dimension_repeats_no_elimination(monkeypatch, n
     assert eliminated, "the localized dimension eliminates over QQ(chi)"
     torsion_generators(sys, r)
     assert len(set(eliminated)) == len(eliminated)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_TEXTS) + ["flagship"])
+def test_frame_seed_changes_no_corpus_value(name):
+    # the corpus and `inverse` take no seed: every value they read off a
+    # frame search agrees across seeds, and so do the Cartan characters
+    text = BENCH_TEXTS["flagship"] if name == "flagship" else CORPUS_TEXTS[name]
+    sys = parse(text).system
+    final = complete(sys).final_system
+    values = set()
+    for seed in range(8):
+        order, res = involutive_order(final, seed=seed)
+        purity = is_pure(sys, seed=seed)
+        alpha = res.tableau.alpha if res.certificate.method == "cartan" else None
+        values.add((codimension(final, seed=seed), order, purity.pure, purity.localized_dimension, alpha))
+    assert len(values) == 1, (name, values)
