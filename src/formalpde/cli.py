@@ -5,10 +5,10 @@ for a fixed input and seed the serialized report is byte-identical across
 runs.  `--seed` draws the frames of the delta-regularity search; it reaches
 only `analyze`, `involution` and `purity`, whose reports name the winning
 frame.  Exit codes: 0 success, 1 analysis inconclusive within the window, 2
-corpus mismatch, 3 input error (unreadable file, parse error or invalid
-option value), 4 internal error (any other exception); 3 and 4 print one
-line, and so does 1 from `hilbert --file`, `inverse` and `purity`, which
-print no report then.
+corpus mismatch, 3 input error (unreadable file, parse error, usage error or
+invalid option value, a negative count included), 4 internal error (any
+other exception); 3 and 4 print one line, and so does 1 from
+`hilbert --file`, `inverse` and `purity`, which print no report then.
 """
 
 from __future__ import annotations
@@ -32,6 +32,17 @@ EXIT_INCONCLUSIVE = 1
 EXIT_CORPUS_MISMATCH = 2
 EXIT_PARSE_ERROR = 3
 EXIT_INTERNAL = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints one line and exits 3, not usage and 2
+        raise argparse.ArgumentError(None, f"{self.prog}: {message}")
+
+
+def natural(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return int(text)
 
 
 def _load(path: str):
@@ -136,7 +147,7 @@ def build_report(text: str, sys_: LinearSystem, seed: int = 0, trunc: int | None
         report["hilbert"]["first_mismatch"] = cmp_result.first_mismatch
         if not cmp_result.agrees:
             notes.append("counted Hilbert function differs from the generator-degree series")
-    report["characteristic_ideal"] = [str(p.primitive()) for p in characteristic_matrix(final).minors]
+    report["characteristic_ideal"] = [str(p) for p in characteristic_matrix(final).minors]
     try:
         report["inverse"] = _inverse_section(final)
     except ValueError:
@@ -318,7 +329,7 @@ def cmd_examples(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="formalpde",
         description="Exact analysis of linear constant-coefficient PDE systems",
     )
@@ -328,19 +339,19 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report: completion, involution, Hilbert, purity")
     p.add_argument("file")
-    p.add_argument("--trunc", type=int, default=None)
+    p.add_argument("--trunc", type=natural, default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("involution", help="involution test of the symbol")
     p.add_argument("file")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=natural, default=None)
     p.set_defaults(func=cmd_involution)
 
     p = sub.add_parser("hilbert", help="principal-class series / counted Hilbert function")
     p.add_argument("--file")
-    p.add_argument("--vars", type=int)
+    p.add_argument("--vars", type=natural)
     p.add_argument("--degrees")
-    p.add_argument("--trunc", type=int, default=8)
+    p.add_argument("--trunc", type=natural, default=8)
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("inverse", help="inverse-system generators and socle")
@@ -359,10 +370,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

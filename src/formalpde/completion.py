@@ -8,11 +8,12 @@ the result with the integrability criterion: some prolonged symbol g_rho is
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 
 from . import jetspace as js
-from .pdesystem import LinearSystem, _equations_from_rref, _full_rref, memoised, projected_system, slice_at
+from .pdesystem import LinearSystem, _full_rref, memoised, projected_system, slice_at
 from .ratlinalg import Poly
 from .spencer import is_involutive_symbol, is_s_acyclic, stabilization_window
 
@@ -80,9 +81,10 @@ def reduce_order(sys: LinearSystem) -> LinearSystem:
 
 
 def projection_surjective(sys: LinearSystem, order: int) -> bool:
-    """True iff projecting R_{order+1} down one order loses no solutions."""
+    """True iff projecting R_{order+1} down one order loses no solutions; the
+    columns run highest order first, so the low pivots span the projection."""
     result, columns = _full_rref(sys, max(order + 1, sys.order))
-    low_rank = sum(1 for e in _equations_from_rref(result, columns) if e.order <= order)
+    low_rank = sum(1 for p in result.pivots if js.order_of(columns[p].mu) <= order)
     dim_proj = js.jet_count_upto(sys.n, order) * sys.m - low_rank
     return dim_proj == slice_at(sys, order).dimension
 
@@ -199,7 +201,7 @@ class CharacteristicMatrix:
     """Top-order coefficient matrix over QQ[chi] and its m x m minor generators."""
 
     matrix: tuple  # rows: equations, cols: unknowns, entries Poly in n variables
-    minors: tuple  # Poly generators of the (un-radicalized) characteristic ideal
+    minors: tuple  # primitive nonzero generators of the (un-radicalized) characteristic ideal
 
     @property
     def rows(self) -> int:
@@ -213,37 +215,27 @@ class CharacteristicMatrix:
 def characteristic_matrix(sys: LinearSystem) -> CharacteristicMatrix:
     """Substitute y^k_mu -> chi^mu in the top-order parts of the equations.
 
-    Emits all m x m minors as polynomial generators; the radical is not
-    computed.
+    Emits the nonzero m x m minors, each made primitive, in the order of their
+    row combinations; the radical is not computed.  Each k x k minor on the
+    first k columns is expanded along column k from the (k-1) x (k-1) minors
+    of the same rows, so every sub-minor is computed once.
     """
     n, m, q = sys.n, sys.m, sys.order
     rows = []
     for e in sys.equations:
-        if e.order < q:
-            continue
-        row = [Poly.zero(n) for _ in range(m)]
-        for jc, c in e.top_terms().items():
-            mono = Poly(n, {jc.mu: c})
-            row[jc.k - 1] = row[jc.k - 1] + mono
-        rows.append(tuple(row))
-    minors = []
-    if rows and m <= len(rows):
-        import itertools
-
-        for combo in itertools.combinations(range(len(rows)), m):
-            sub = [rows[i] for i in combo]
-            minors.append(_poly_det(sub))
-    minors = [p for p in minors if p]
-    return CharacteristicMatrix(tuple(rows), tuple(minors))
-
-
-def _poly_det(rows) -> Poly:
-    m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    total = Poly.zero(rows[0][0].nvars)
-    for j in range(m):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _poly_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+        if e.order == q:
+            terms = [{} for _ in range(m)]
+            for jc, c in e.top_terms().items():
+                terms[jc.k - 1][jc.mu] = c
+            rows.append(tuple(Poly(n, t) for t in terms))
+    minors = {(i,): row[0] for i, row in enumerate(rows)}
+    for c in range(1, m):
+        smaller, minors = minors, {}
+        for combo in itertools.combinations(range(len(rows)), c + 1):
+            det = Poly.zero(n)
+            for i, r in enumerate(combo):
+                entry, sub = rows[r][c], smaller[combo[:i] + combo[i + 1 :]]
+                if entry and sub:
+                    det = det + entry * sub if (i + c) % 2 == 0 else det - entry * sub
+            minors[combo] = det
+    return CharacteristicMatrix(tuple(rows), tuple(p.primitive() for p in minors.values() if p))

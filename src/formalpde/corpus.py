@@ -399,7 +399,7 @@ def eval_example7() -> CorpusResult:
     inv = is_involutive_symbol(sys, 4)
     cm = characteristic_matrix(sys)
     purity = is_pure(sys)
-    minors = tuple(sorted(str(p.primitive()) for p in cm.minors))
+    minors = tuple(sorted(str(p) for p in cm.minors))
 
     def strict_parametric(r):
         return tuple(

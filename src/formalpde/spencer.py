@@ -116,9 +116,9 @@ class InvolutionResult:
 @memoised
 def symbol(sys: LinearSystem, order: int) -> SymbolSpace:
     """g_order from the RREF of the symbol matrix, or empty with no elimination
-    when g_{order-1} is: for v in g_order each derivative d_i v satisfies the
-    conditions defining g_{order-1}, so d_i v = 0 for every i and v = 0."""
-    if order >= 1 and symbol_dim(sys, order - 1) == 0:
+    when the memo already holds g_{order-1} = 0: for v in g_order each d_i v
+    satisfies the conditions defining g_{order-1}, so d_i v = 0 and v = 0."""
+    if order >= 1 and ("symbol", order - 1) in sys._cache and symbol_dim(sys, order - 1) == 0:
         columns = tuple(js.jets_exact(sys.n, sys.m, order))
         return SymbolSpace(order, len(columns), ExactMatrix.from_rows([{}] * len(columns), 0, sys.params), columns, ())
     result, columns = _symbol_rref(sys, order)

@@ -2,14 +2,18 @@
 
 For each seed given on the command line it runs, in this process and in
 json and text: `analyze`, `involution`, `inverse`, `purity` and
-`hilbert --file --trunc 7` on the 16 corpus texts and the 3 bench inputs,
-plus `examples run all`.  Each run prints one line,
+`hilbert --file --trunc 7` on the 16 corpus texts, the 3 bench inputs and
+the flat Killing and conformal Killing systems for n = 2-5 (m = n unknowns,
+so their characteristic minors are n x n), plus `examples run all`.  Each
+run prints one line,
 
     <seed> <report mode> <command> <system> <sha256 of stdout, stderr, exit code>
 
 so two checkouts compare with `diff`.  The `formalpde` that is imported is the
-first on `PYTHONPATH`; the inputs are this checkout's.  Against a parent
-checkout in ../parent:
+first on `PYTHONPATH`; the inputs are this checkout's.  A checkout that still
+expands every minor from scratch spends about 10 s per seed and report mode
+in `analyze` on the two n = 5 Killing systems.  Against a parent checkout in
+../parent:
 
     PYTHONPATH=src python3 tests/compare_cli.py 0 1 2 > change.txt
     PYTHONPATH=../parent/src python3 tests/compare_cli.py 0 1 2 > parent.txt
@@ -28,13 +32,16 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS))
 
-from conftest import BENCH_TEXTS, CORPUS_TEXTS  # noqa: E402
+from conftest import BENCH_TEXTS, CORPUS_TEXTS, killing_text  # noqa: E402
 from make_report_pins import COMMANDS, run_cli  # noqa: E402
 
 
 def digests(seeds: list[int]):
     """(seed, mode, command, system, digest) of every run, in a fixed order."""
     texts = {**CORPUS_TEXTS, **BENCH_TEXTS}
+    for n in range(2, 6):
+        texts[f"killing{n}"] = killing_text(n)
+        texts[f"conformal-killing{n}"] = killing_text(n, conformal=True)
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, text in texts.items():

@@ -65,6 +65,19 @@ BENCH_TEXTS = {
 }
 
 
+def killing_text(n: int, conformal: bool = False) -> str:
+    """The flat Killing equations z_i[j] + z_j[i] = 0 (i < j), z_i[i] = 0 in n
+    variables; conformal Killing replaces the last rows by z_i[i] minus the
+    mean divergence, for i < n."""
+    rows = [f"z{i}[{j}] + z{j}[{i}]" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    if conformal:
+        mean = "".join(f" - 1/{n}*z{k}[{k}]" for k in range(1, n + 1))
+        rows += [f"z{i}[{i}]{mean}" for i in range(1, n)]
+    else:
+        rows += [f"z{i}[{i}]" for i in range(1, n + 1)]
+    return f"vars={n}; unknowns={n};\n" + "".join(f"eq: {row} = 0;\n" for row in rows)
+
+
 @pytest.fixture
 def corpus_systems():
     # freshly parsed for every test, so no test sees the memo another left

@@ -219,13 +219,39 @@ def test_report_bytes_do_not_depend_on_the_memo(name):
         ["hilbert", "--vars", "2", "--degrees", "0"],
         ["hilbert", "--vars", "2", "--degrees", "a"],
         ["hilbert", "--vars", "1", "--degrees", "1,1"],
+        ["analyze", "--trunc", "abc", "{valid}"],
+        ["analyze"],
+        ["nosuch", "{valid}"],
+        ["--report", "xml", "analyze", "{valid}"],
+        ["analyze", "--trunc", "-1", "{valid}"],
+        ["analyze", "--trunc", "-2", "{valid}"],
+        ["hilbert", "--file", "{valid}", "--trunc", "-1"],
+        ["hilbert", "--vars", "3", "--degrees", "2", "--trunc", "-1"],
+        ["involution", "--order", "-1", "{valid}"],
     ],
-    ids=["zero-denominator", "directory", "degree-zero", "degree-not-int", "degrees-exceed-vars"],
+    ids=[
+        "zero-denominator",
+        "directory",
+        "degree-zero",
+        "degree-not-int",
+        "degrees-exceed-vars",
+        "trunc-not-int",
+        "missing-file",
+        "unknown-command",
+        "unknown-report-mode",
+        "analyze-trunc-minus-1",
+        "analyze-trunc-minus-2",
+        "hilbert-file-negative-trunc",
+        "hilbert-series-negative-trunc",
+        "involution-negative-order",
+    ],
 )
 def test_cli_input_error_exit_code(argv, tmp_path, capsys):
     bad = tmp_path / "zero.pde"
     bad.write_text("vars=1; eq: 1/0*y[1]=0\n", encoding="utf-8")
-    argv = [a.format(zero_denominator=bad, directory=tmp_path) for a in argv]
+    valid = tmp_path / "valid.pde"
+    valid.write_text(CORPUS_TEXTS["example3"], encoding="utf-8")
+    argv = [a.format(zero_denominator=bad, directory=tmp_path, valid=valid) for a in argv]
     assert main(argv) == EXIT_PARSE_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""

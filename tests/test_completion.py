@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import BENCH_TEXTS, CORPUS_TEXTS, make_system
+from conftest import BENCH_TEXTS, CORPUS_TEXTS, killing_text, make_system
 from formalpde import completion
 from formalpde import jetspace as js
 from formalpde.completion import (
@@ -104,14 +106,14 @@ def test_codimension_rejects_uncompleted(corpus_systems):
 
 def test_characteristic_matrix_flagship(corpus_systems):
     cm = characteristic_matrix(corpus_systems["example7"])
-    minors = sorted(str(p.primitive()) for p in cm.minors)
+    minors = sorted(str(p) for p in cm.minors)
     assert minors == ["(χ_1)^2 - χ_2*χ_4", "(χ_2)^2 - χ_3*χ_4", "(χ_3)^2", "(χ_4)^2"]
 
 
 def test_characteristic_matrix_twisted_cubic(corpus_systems):
     final = complete(corpus_systems["example6_twisted"]).final_system
     cm = characteristic_matrix(final)
-    got = {str(p.primitive()) for p in cm.minors}
+    got = {str(p) for p in cm.minors}
     # derived by substituting chi into the top symbols of the involutive form
     expected = {
         str(p.primitive())
@@ -135,9 +137,42 @@ def test_two_unknown_first_order_system():
     assert inv.tableau.alpha == (2, 0)
     cm = characteristic_matrix(cr)
     assert (cm.rows, cm.cols) == (2, 2)
-    assert [str(p.primitive()) for p in cm.minors] == ["(χ_1)^2 + (χ_2)^2"]
+    assert [str(p) for p in cm.minors] == ["(χ_1)^2 + (χ_2)^2"]
     assert codimension(cr) == 1
     assert [slice_at(cr, r).dimension for r in range(4)] == [2, 4, 6, 8]
+
+
+@pytest.mark.parametrize(
+    "n, conformal, count",
+    [(2, False, 3), (3, False, 17), (4, False, 141), (5, False, 1548),
+     (2, True, 1), (3, True, 10), (4, True, 123), (5, True, 1822)],
+)
+def test_characteristic_ideal_of_the_killing_family(n, conformal, count):
+    cm = characteristic_matrix(parse(killing_text(n, conformal)).system)
+    assert len(cm.minors) == count
+    assert all(p == p.primitive() for p in cm.minors)
+
+
+def test_characteristic_minors_match_sympy_determinants():
+    sympy = pytest.importorskip("sympy")
+
+    def determinant(cm, combo):
+        """The minor on rows `combo` by sympy's cofactor expansion, made primitive."""
+        chi = sympy.symbols(f"chi1:{cm.cols + 1}")
+        rows = [[sympy.Poly.from_dict(p.terms, *chi).as_expr() for p in cm.matrix[r]] for r in combo]
+        det = sympy.Poly(sympy.Matrix(rows).det(method="laplace"), *chi)
+        return Poly(cm.cols, {e: Fraction(int(c.p), int(c.q)) for e, c in det.terms() if c}).primitive()
+
+    for text in (killing_text(4), killing_text(4, conformal=True)):
+        cm = characteristic_matrix(parse(text).system)
+        dets = [determinant(cm, combo) for combo in itertools.combinations(range(cm.rows), cm.cols)]
+        assert tuple(p for p in dets if p) == cm.minors
+    cm = characteristic_matrix(parse(killing_text(5, conformal=True)).system)
+    sample = random.Random(0).sample(list(itertools.combinations(range(cm.rows), cm.cols)), 40)
+    generators = set(cm.minors)
+    dets = [determinant(cm, combo) for combo in sample]
+    assert sum(1 for p in dets if p) > 30
+    assert all(p in generators for p in dets if p)
 
 
 def test_characteristic_matrix_empty_system():

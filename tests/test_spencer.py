@@ -449,3 +449,11 @@ def test_symbol_dim_matches_fresh_elimination(name):
 @given(constant_coefficient_systems())
 def test_symbol_dim_matches_fresh_elimination_on_random_systems(sys):
     _check_symbol_dims(sys)
+
+
+def test_symbol_eliminates_no_lower_symbol(corpus_systems):
+    # the vanishing rule reads g_{order-1} from the memo only: g_6 of the
+    # flagship is 0, found by its own elimination, and g_0 to g_5 stay unasked
+    sys = corpus_systems["example7"]
+    assert symbol_dim(sys, 6) == 0
+    assert [key for key in sys._cache if key[0] == "symbol"] == [("symbol", 6)]
