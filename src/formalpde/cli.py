@@ -25,7 +25,7 @@ from .inverse import SPENCER_SIGN_NOTE, generating_sections, socle, top_generato
 from .parser import ParseError, digest, parse
 from .pdesystem import LinearSystem, stable_dimension
 from .purity import is_pure, localize, localized_generators
-from .spencer import cohomology, is_involutive_symbol
+from .spencer import cohomology, is_involutive_symbol, sealed_order
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -118,10 +118,12 @@ def build_report(text: str, sys_: LinearSystem, seed: int = 0, trunc: int | None
         trunc = 2 * q + final.n + 1
     inv = is_involutive_symbol(final, seed=seed)
     report["involution"] = _involution_dict(inv)
-    acyclicity = {}
+    # every spot at or above the seal is zero, so it is read off without a rank
+    seal, acyclicity = sealed_order(final), {}
     for s in range(1, final.n + 1):
         acyclicity[str(s)] = {
-            str(o): cohomology(final, s, o).dim_cohomology for o in range(q, q + final.n + 1)
+            str(o): 0 if seal is not None and o >= seal else cohomology(final, s, o).dim_cohomology
+            for o in range(q, q + final.n + 1)
         }
     report["acyclicity"] = acyclicity
     try:
@@ -282,6 +284,8 @@ def cmd_purity(args) -> int:
 
 def cmd_examples(args) -> int:
     if args.action == "list":
+        if args.name is not None:
+            raise argparse.ArgumentError(None, f"examples list takes no entry name, got {args.name!r}")
         for name in corpus_mod.ENTRIES:
             print(f"{name}: {corpus_mod.SOURCES[name]}")
         return EXIT_OK
@@ -348,8 +352,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_involution)
 
     p = sub.add_parser("hilbert", help="principal-class series / counted Hilbert function")
-    p.add_argument("--file")
-    p.add_argument("--vars", type=natural)
+    source = p.add_mutually_exclusive_group()  # a file sets its own variable count
+    source.add_argument("--file")
+    source.add_argument("--vars", type=natural)
     p.add_argument("--degrees")
     p.add_argument("--trunc", type=natural, default=8)
     p.set_defaults(func=cmd_hilbert)

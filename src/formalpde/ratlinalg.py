@@ -60,7 +60,8 @@ class Poly:
             for exps, c in terms.items():
                 if len(exps) != nvars:
                     raise ValueError("exponent arity mismatch")
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c:
                     cleaned[tuple(exps)] = c
         self.terms = cleaned
@@ -98,7 +99,7 @@ class Poly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other: "Poly") -> "Poly":
-        return self - (-self._coerce(other))
+        return Poly(self.nvars, _padd(self.terms, self._coerce(other).terms))
 
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -576,6 +577,18 @@ def _pmul(a: dict, b: dict) -> dict:
             e = tuple(map(add, ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
+
+
+def _padd(a: dict, b: dict) -> dict:
+    """Sum of two polynomials {exponent tuple: nonzero coefficient}."""
+    out = dict(a)
+    for e, c in b.items():
+        x = out.get(e, 0) + c
+        if x:
+            out[e] = x
+        else:
+            del out[e]
+    return out
 
 
 def _psub(a: dict, b: dict) -> dict:

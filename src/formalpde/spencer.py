@@ -13,6 +13,12 @@ involutivity (the multiplicative prolongations of the solved equations are
 always independent), so the frame search can only fail towards false
 negatives, and those are cross-checked against the delta-cohomology.
 
+An involutive g_q' has zero delta-cohomology at every order >= q' (Seiler
+2010, *Involution*, ch. 6), so the window scans stop at the first order that
+passes Cartan's test in the identity frame or the curve frame A(2), and
+record it as the system's seal (:func:`sealed_order`).  A scan's verdict is
+exact when the symbol is finite type or sealed, and window-limited otherwise.
+
 Symbols and frame tableaux are read off one memoised elimination per order,
 the identity-frame symbol RREF, by two exact rules: g_t = 0 once g_{t-1} = 0
 (:func:`symbol`), and a frame's tableau is that RREF carried over by the
@@ -286,30 +292,62 @@ def _frames(n: int, seed: int) -> tuple:
     return tuple(random_unimodular(n, rng) for _ in range(N_FRAMES))
 
 
+def curve_frame(n: int) -> CoordinateChange:
+    """A(2): upper unitriangular, the k-th pair i < j in row order (k = 1, 2, ...)
+    has A[i][j] = 2^k."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k, (i, j) in enumerate(itertools.combinations(range(n), 2), start=1):
+        a[i][j] = 2**k
+    return CoordinateChange(tuple(map(tuple, a)))
+
+
+@memoised
+def _passes_cartan(sys: LinearSystem, order: int) -> bool:
+    """Cartan's test at `order` in the identity frame or A(2); a system over
+    QQ(chi) takes the identity only.  True certifies g_order involutive.
+    An order-0 jet has no class, so order 0 is never certified."""
+    if order < 1:
+        return False
+    dim_next = symbol_dim(sys, order + 1)
+    frames = [None] if sys.params else [None, curve_frame(sys.n)]
+    return any(janet_tableau(sys, order, frame).multiplicative_sum == dim_next for frame in frames)
+
+
+def sealed_order(sys: LinearSystem) -> int | None:
+    """The smallest order a window scan has found involutive, or None: every
+    delta-cohomology of `sys` vanishes from there on, and a nonzero symbol
+    there never dies."""
+    return sys._cache.get(("seal",))
+
+
 def acyclicity_scan(sys: LinearSystem, s_max: int, order: int, window: int):
     """H^s dimensions for 1 <= s <= s_max at orders order..order+window.
 
-    Stops early once the symbol vanishes (finite type), in which case the
-    verdict is exact rather than window-limited.  Returns (reports, finite).
+    Stops early once the symbol vanishes (finite type) or at the seal, the
+    first order whose spots are all zero and that passes Cartan's test
+    (:func:`_passes_cartan`): every higher spot is zero and is not reported.
+    That test runs only where dim g_{o+1} >= dim g_o > 0, which an involutive
+    g_o satisfies (dim g_{o+1} = sum i*alpha_i >= sum alpha_i).  Returns
+    (reports, exact): the verdict is exact when finite type or sealed.
     """
-    reports = []
-    finite = False
-    for r in range(window + 1):
-        o = order + r
-        if symbol_dim(sys, o) == 0:
-            finite = True
-            break
-        for s in range(1, s_max + 1):
-            reports.append(cohomology(sys, s, o))
-    return reports, finite
+    reports, seal = [], sealed_order(sys)
+    for o in range(order, order + window + 1):
+        if (seal is not None and o >= seal) or not (dim := symbol_dim(sys, o)):
+            return reports, True
+        spots = [cohomology(sys, s, o) for s in range(1, min(s_max, sys.n) + 1)]  # Lambda^s = 0 above n
+        reports += spots
+        if not any(r.dim_cohomology for r in spots) and symbol_dim(sys, o + 1) >= dim and _passes_cartan(sys, o):
+            sys._cache[("seal",)] = o
+            return reports, True
+    return reports, False
 
 
 def is_s_acyclic(sys: LinearSystem, s_max: int, order: int, window: int):
-    """(verdict, window_limited)."""
-    reports, finite = acyclicity_scan(sys, s_max, order, window)
+    """(verdict, window_limited): exact when finite type or sealed."""
+    reports, exact = acyclicity_scan(sys, s_max, order, window)
     if any(rep.dim_cohomology for rep in reports):
         return False, False
-    return True, not finite
+    return True, not exact
 
 
 def stabilization_window(sys: LinearSystem) -> int:
@@ -322,7 +360,8 @@ def is_involutive_symbol(sys: LinearSystem, order: int | None = None, seed: int 
 
     Returns involutive=True as soon as some frame attains the Cartan count;
     otherwise the answer is taken from the delta-cohomology over the
-    stabilization window (exact whenever the symbol is finite type).
+    stabilization window (exact when finite type or sealed, see
+    :func:`acyclicity_scan`).
     Memoised per (order, seed) in the system's cache.
     """
     return _involution_test(sys, sys.order if order is None else order, seed)
@@ -346,7 +385,7 @@ def _involution_test(sys: LinearSystem, order: int, seed: int) -> InvolutionResu
         if best.multiplicative_sum == dim_next:
             cert = InvolutionCertificate("cartan", tried, dim_next, best.multiplicative_sum, window, ())
             return InvolutionResult(True, best, cert)
-    reports, finite = acyclicity_scan(sys, sys.n, order, window)
+    reports, exact = acyclicity_scan(sys, sys.n, order, window)
     nonzero = tuple((r.s, r.order, r.dim_cohomology) for r in reports if r.dim_cohomology)
     if nonzero:
         cert = InvolutionCertificate(
@@ -354,8 +393,8 @@ def _involution_test(sys: LinearSystem, order: int, seed: int) -> InvolutionResu
         )
         return InvolutionResult(False, best, cert)
     # No frame reached the Cartan count but no obstruction was seen either;
-    # trust the cohomology, flagging the window when the symbol is not finite.
+    # trust the cohomology, flagging the window when the scan was not exact.
     cert = InvolutionCertificate(
-        "cohomology", tried, dim_next, best.multiplicative_sum, window, (), window_limited=not finite
+        "cohomology", tried, dim_next, best.multiplicative_sum, window, (), window_limited=not exact
     )
     return InvolutionResult(True, best, cert)

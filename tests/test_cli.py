@@ -228,6 +228,8 @@ def test_report_bytes_do_not_depend_on_the_memo(name):
         ["hilbert", "--file", "{valid}", "--trunc", "-1"],
         ["hilbert", "--vars", "3", "--degrees", "2", "--trunc", "-1"],
         ["involution", "--order", "-1", "{valid}"],
+        ["examples", "list", "nosuch"],
+        ["hilbert", "--file", "{valid}", "--vars", "7"],
     ],
     ids=[
         "zero-denominator",
@@ -244,6 +246,8 @@ def test_report_bytes_do_not_depend_on_the_memo(name):
         "hilbert-file-negative-trunc",
         "hilbert-series-negative-trunc",
         "involution-negative-order",
+        "examples-list-name",
+        "hilbert-file-and-vars",
     ],
 )
 def test_cli_input_error_exit_code(argv, tmp_path, capsys):
