@@ -398,11 +398,10 @@ def stable_order(sys: LinearSystem) -> int:
     """Smallest t with dim R_t = dim R_{t+1} and vanishing symbol above t.
 
     Raises when that does not happen by order 2q + n + 2, and at once when the
-    memo holds a seal q' with g_q' != 0: an involutive nonzero symbol never dies.
+    memo holds a seal: a sealed symbol is nonzero and involutive, so it never dies.
     """
     from .spencer import sealed_order, symbol_dim  # spencer imports this module
-    seal = sealed_order(sys)
-    if seal is None or not symbol_dim(sys, seal):
+    if sealed_order(sys) is None:
         prev = slice_at(sys, 0).dimension
         for t in range(1, 2 * sys.order + sys.n + 3):
             cur = slice_at(sys, t).dimension
