@@ -34,9 +34,13 @@ EXIT_PARSE_ERROR = 3
 EXIT_INTERNAL = 4
 
 
+class UsageError(Exception):
+    """A command-line usage error: main prints it on one line and exits 3."""
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # main prints one line and exits 3, not usage and 2
-        raise argparse.ArgumentError(None, f"{self.prog}: {message}")
+    def error(self, message):  # not an ArgumentError, which each enclosing parser would prefix again
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def natural(text: str) -> int:
@@ -285,7 +289,7 @@ def cmd_purity(args) -> int:
 def cmd_examples(args) -> int:
     if args.action == "list":
         if args.name is not None:
-            raise argparse.ArgumentError(None, f"examples list takes no entry name, got {args.name!r}")
+            raise UsageError(f"examples list takes no entry name, got {args.name!r}")
         for name in corpus_mod.ENTRIES:
             print(f"{name}: {corpus_mod.SOURCES[name]}")
         return EXIT_OK
@@ -378,7 +382,7 @@ def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
         return args.func(args)
-    except argparse.ArgumentError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except ParseError as exc:

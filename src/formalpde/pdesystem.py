@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .ratlinalg import ExactMatrix, ParamScalar, rank, rref
+from .ratlinalg import ExactMatrix, ParamScalar, _eliminate, rref
 
 
 class Equation:
@@ -133,9 +133,17 @@ def memoised(fn):
 
 @dataclass(frozen=True)
 class CoordinateChange:
-    """Invertible substitution d_i -> sum_j A[i][j] d_j of the independent variables."""
+    """Invertible substitution d_i -> sum_j A[i][j] d_j of the independent variables.
+
+    `flag[k - 1]` lists a reduced integer basis of L_k = span(columns k..n of
+    A), as sparse vectors {coordinate: int}, each zero at the pivot (largest)
+    coordinates of the others.  It is built from column n down, each column of
+    A, cleared of denominators, reduced by the basis so far; a zero remainder
+    proves A singular.
+    """
 
     matrix: tuple
+    flag: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
@@ -143,8 +151,21 @@ class CoordinateChange:
         n = len(a)
         if any(len(row) != n for row in a):
             raise ValueError("coordinate change must be square")
-        if rank(ExactMatrix(a)) != n:
-            raise ValueError("singular coordinate change")
+        den = math.lcm(*(x.denominator for row in a for x in row))
+        columns = [{i: a[i][j].numerator * (den // a[i][j].denominator) for i in range(n) if a[i][j]} for j in range(n)]
+        vectors, pivots, flag = [], [], []
+        for v in reversed(columns):
+            for b, p in zip(vectors, pivots):
+                if p in v:
+                    v = _eliminate(v, b, p)
+            if not v:
+                raise ValueError("singular coordinate change")
+            p = max(v)
+            vectors = [_eliminate(b, v, p) if p in b else b for b in vectors]
+            vectors.append(v)
+            pivots.append(p)
+            flag.append(vectors)
+        object.__setattr__(self, "flag", tuple(reversed(flag)))
 
     @classmethod
     @functools.cache

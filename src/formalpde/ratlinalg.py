@@ -525,12 +525,13 @@ def _eliminate(row: dict, b: dict, c: int) -> dict:
     return _primitive(out) if a != 1 and out else out
 
 
-def _echelon_int(rows) -> dict[int, dict]:
+def _echelon_int(rows, cap: int | None = None) -> dict[int, dict]:
     """Fraction-free forward elimination: {leading column: primitive row}.
 
     Each row is reduced by the stored row of its leading column until that
     column is new.  The leading columns of an echelon basis of a row space do
-    not depend on the row order, so they are the pivots of the RREF.
+    not depend on the row order, so they are the pivots of the RREF.  With a
+    `cap`, no row is read once `cap` pivots are found.
     """
     basis: dict[int, dict] = {}
     for row in rows:
@@ -540,12 +541,15 @@ def _echelon_int(rows) -> dict[int, dict]:
                 basis[p] = _primitive(row)
                 break
             row = _eliminate(row, basis[p], p)
+        if len(basis) == cap:
+            break
     return basis
 
 
-def pivot_columns(rows) -> tuple[int, ...]:
-    """Pivot columns of the RREF of the sparse integer rows {col: int}."""
-    return tuple(sorted(_echelon_int(rows)))
+def pivot_columns(rows, cap: int | None = None) -> tuple[int, ...]:
+    """Pivot columns of the RREF of the sparse integer rows {col: int}; a
+    caller that knows the rank is at most `cap` may pass it to stop there."""
+    return tuple(sorted(_echelon_int(rows, cap)))
 
 
 def _rref_rational(matrix: ExactMatrix) -> tuple[list, list[int]]:

@@ -21,8 +21,9 @@ exact when the symbol is finite type or sealed, and window-limited otherwise.
 
 Symbols and frame tableaux are read off one memoised elimination per order,
 the identity-frame symbol RREF, by two exact rules: g_t = 0 once g_{t-1} = 0
-(:func:`symbol`), and a frame's tableau is that RREF carried over by the
-substitution x^mu -> (Ax)^mu (:func:`janet_tableau`).
+(:func:`symbol`), and in a frame A the pivots of class >= k number the rank
+of the RREF rows restricted to L_k = span(columns k..n of A), because the
+elimination columns run class-descending (:func:`janet_tableau`).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, memoised, substitution
-from .ratlinalg import ExactMatrix, integer_row, pivot_columns, rank, rref
+from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, memoised
+from .ratlinalg import ExactMatrix, integer_row, pivot_columns, rank
 
 # random unimodular frames tried after the identity frame fails Cartan's test,
 # each made of FRAME_STEPS random row additions kept within [-FRAME_BOUND, FRAME_BOUND]
@@ -225,50 +226,70 @@ def janet_tableau(sys: LinearSystem, order: int, frame: CoordinateChange | None 
     """Per-class counts of the pivots (beta) and free columns (alpha) of the
     symbol RREF at `order` in `frame`, from the identity-frame symbol.
 
-    In a frame A the symbol rows span the image of the identity rows under
-    x^mu -> (Ax)^mu, and g_order that of the identity g_order under (A^-1 v)_mu
-    = sum_nu [x^nu](A^-1 x)^mu v_nu.  An RREF is fixed by its row space, so the
-    forward elimination of the smaller image is exact: the r rows lead with
-    the pivots, the d symbol vectors, last column first, with the free ones.
+    In a frame A the symbol rows are the identity RREF rows p(x) carried to
+    p(Ax), and the columns run class-descending, so the pivots of class >= k
+    lie in the leading columns, the monomials in x_k..x_n, and number their
+    rank: rank_k, the rank of the r rows p restricted to L_k = span(columns
+    k..n of A).  Hence beta_k = rank_k - rank_{k+1}, with rank_1 = r and
+    rank_{n+1} = 0; each rank is read off the frame's flag (:func:`_flag_rank`).
     """
     if frame is None:
         frame = CoordinateChange.identity(sys.n)
-    g = symbol(sys, order)
-    free = g.free_columns
+    g, n, m = symbol(sys, order), sys.n, sys.m
+    counts = [m * js.class_count(n, order, i) for i in range(1, n + 1)]
     if not frame.is_identity():
-        if sys.params or frame.n != sys.n:
+        if sys.params or frame.n != n:
             raise ValueError("a frame needs a rational system in as many variables")
         if 0 < g.dim < g.ambient:
-            free = _frame_free_columns(sys, order, frame)
-    alpha = [sum(js.class_of(jc.mu) == i for jc in free) for i in range(1, sys.n + 1)]
-    beta = [sys.m * js.class_count(sys.n, order, i + 1) - a for i, a in enumerate(alpha)]
-    return JanetTableau(order, tuple(beta), tuple(alpha), frame)
+            result, columns = _symbol_rref(sys, order)
+            rows = [integer_row(v) for v in result.matrix.sparse[: len(result.pivots)]]
+            ranks = [len(rows), *(_flag_rank(rows, columns, m, order, frame.flag[k]) for k in range(1, n)), 0]
+            beta = [ranks[i] - ranks[i + 1] for i in range(n)]
+            return JanetTableau(order, tuple(beta), tuple(c - b for c, b in zip(counts, beta)), frame)
+    alpha = [sum(js.class_of(jc.mu) == i for jc in g.free_columns) for i in range(1, n + 1)]
+    return JanetTableau(order, tuple(c - a for c, a in zip(counts, alpha)), tuple(alpha), frame)
 
 
-def _frame_free_columns(sys: LinearSystem, order: int, frame: CoordinateChange) -> tuple:
-    result, columns = _symbol_rref(sys, order)
-    m, r = sys.m, len(result.pivots)
-    rows = r <= len(columns) - r
-    if rows:
-        vectors, table = result.matrix.sparse[:r], substitution(frame.matrix, order)[0]
-    else:  # table[nu][mu] is the x^nu coefficient of (A^-1 x)^mu, A^-1 read off rref([A | I])
-        vectors, n = symbol(sys, order).basis.transpose().sparse, sys.n
-        reduced = rref(ExactMatrix([row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(frame.matrix)]))
-        table = [{} for _ in columns[::m]]
-        inverse = [[row.get(n + j, 0) for j in range(n)] for row in reduced.matrix.sparse]
-        for mu, expansion in enumerate(substitution(inverse, order)[0]):
-            for nu, w in expansion.items():
-                table[nu][mu] = w
-    sign, images = 1 if rows else -1, []  # negated columns lead with the last one
-    for v in vectors:
-        image: dict = {}
-        for c, x in integer_row(v).items():
-            mu, k = divmod(c, m)
-            for nu, w in table[mu].items():
-                image[sign * (nu * m + k)] = image.get(sign * (nu * m + k), 0) + x * w
-        images.append({c: x for c, x in image.items() if x})
-    leading = {abs(c) for c in pivot_columns(images)}
-    return tuple(jc for c, jc in enumerate(columns) if (c in leading) != rows)
+def _flag_rank(rows, columns, m: int, degree: int, basis: tuple) -> int:
+    """Rank of the integer symbol rows restricted to the span of `basis`.
+
+    A point sum_s t_s b_s has coordinates x_i = sum_s b_s[i] t_s, a single term
+    at each pivot, so x^mu expands on the codes sum_s e_s B^s (B = degree + 1)
+    of the monomials t^e, once per monomial and from powers of each x_i taken
+    once.  The rank is at most min(r, m * #monomials), where it stops.
+    """
+    forms = [{(degree + 1) ** s: b[i] for s, b in enumerate(basis) if i in b} for i in range(len(columns[0].mu))]
+    powers = [[{0: 1}] for _ in forms]
+    expansions: dict = {}
+
+    def times(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for u, x in a.items():
+            for v, y in b.items():
+                out[u + v] = out.get(u + v, 0) + x * y
+        return {u: x for u, x in out.items() if x}
+
+    def expand(mu) -> dict:
+        poly = {0: 1}
+        for i, e in enumerate(mu):
+            if e:
+                while len(powers[i]) <= e:
+                    powers[i].append(times(powers[i][-1], forms[i]))
+                poly = times(poly, powers[i][e])
+        return poly
+
+    def images():
+        for row in rows:
+            image: dict = {}
+            for c, x in row.items():
+                j, k = divmod(c, m)
+                if j not in expansions:
+                    expansions[j] = expand(columns[c].mu)
+                for u, w in expansions[j].items():
+                    image[u * m + k] = image.get(u * m + k, 0) + x * w
+            yield {u: x for u, x in image.items() if x}
+
+    return len(pivot_columns(images(), min(len(rows), m * js.monomial_count(len(basis), degree))))
 
 
 def random_unimodular(n: int, rng: random.Random) -> CoordinateChange:

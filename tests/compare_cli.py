@@ -2,7 +2,8 @@
 
 For each seed given on the command line it runs, in this process and in
 json and text: `analyze`, `involution`, `inverse`, `purity` and
-`hilbert --file --trunc 7` on the 16 corpus texts, the 3 bench inputs and
+`hilbert --file --trunc 7` on the 16 corpus texts, the 3 bench inputs, the
+six-variable system that reaches the most high-order frame tableaux, and
 the flat Killing and conformal Killing systems for n = 2-5 (m = n unknowns,
 so their characteristic minors are n x n), plus `examples run all`.  Each
 run prints one line,
@@ -35,10 +36,12 @@ sys.path.insert(0, str(TESTS))
 from conftest import BENCH_TEXTS, CORPUS_TEXTS, killing_text  # noqa: E402
 from make_report_pins import COMMANDS, run_cli  # noqa: E402
 
+SIX_VAR_TEXT = "vars=6; eq: y[6,6,6]=0; eq: y[5,6]-y[4,4]=0; eq: y[3,5]-y[1,2]=0\n"
+
 
 def digests(seeds: list[int]):
     """(seed, mode, command, system, digest) of every run, in a fixed order."""
-    texts = {**CORPUS_TEXTS, **BENCH_TEXTS}
+    texts = {**CORPUS_TEXTS, **BENCH_TEXTS, "six-var": SIX_VAR_TEXT}
     for n in range(2, 6):
         texts[f"killing{n}"] = killing_text(n)
         texts[f"conformal-killing{n}"] = killing_text(n, conformal=True)

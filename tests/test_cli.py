@@ -262,6 +262,23 @@ def test_cli_input_error_exit_code(argv, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--trunc", "-1", "{valid}"], "formalpde analyze: argument --trunc: must not be negative: -1"),
+        (["hilbert", "--file", "{valid}", "--vars", "7"], "formalpde hilbert: argument --vars: not allowed with argument --file"),
+        (["analyze"], "formalpde analyze: the following arguments are required: file"),
+        (["--report", "xml", "analyze", "{valid}"], "formalpde: argument --report: invalid choice: 'xml' (choose from 'text', 'json')"),
+    ],
+    ids=["subcommand-type", "subcommand-conflict", "subcommand-required", "top-level-choice"],
+)
+def test_cli_usage_error_names_the_program_once(argv, message, tmp_path, capsys):
+    valid = tmp_path / "valid.pde"
+    valid.write_text(CORPUS_TEXTS["example3"], encoding="utf-8")
+    assert main([a.format(valid=valid) for a in argv]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_cli_internal_error_exit_code(monkeypatch, capsys):
     from formalpde import cli
 

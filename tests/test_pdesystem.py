@@ -19,8 +19,8 @@ from formalpde.pdesystem import (
     stable_dimension,
     symbol_matrix,
 )
-from formalpde.ratlinalg import rank
-from formalpde.spencer import random_unimodular
+from formalpde.ratlinalg import ExactMatrix, rank
+from formalpde.spencer import curve_frame, random_unimodular
 
 F = Fraction
 
@@ -125,9 +125,35 @@ def test_change_coordinates_example8(corpus_systems):
     assert sorted(equation_support(canonical)) == sorted([[(1, 3), (3, 3)], [(2, 3)]])
 
 
-def test_change_coordinates_rejects_singular():
-    with pytest.raises(ValueError, match="singular"):
-        CoordinateChange(((1, 1, 0), (1, 1, 0), (0, 0, 1)))
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1, 1, 0), (1, 1, 0), (0, 0, 1)),
+        ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), 1)),
+        # column 1 = column 2 + 2 * column 3: only the last step of the flag sees it
+        ((1, 1, 0), (2, 0, 1), (3, 1, 1)),
+    ],
+    ids=["repeated-row", "non-integral", "first-column-in-span"],
+)
+def test_change_coordinates_rejects_singular(rows):
+    with pytest.raises(ValueError, match="singular coordinate change"):
+        CoordinateChange(rows)
+
+
+def test_coordinate_change_flag_is_a_reduced_basis_of_the_trailing_columns():
+    rng = random.Random(0)
+    half = [[F(i == j) + F(j == i + 1, 2) for j in range(4)] for i in range(4)]
+    frames = [random_unimodular(4, rng) for _ in range(10)] + [curve_frame(4), CoordinateChange(half)]
+    for frame in frames:
+        n = frame.n
+        for k in range(1, n + 1):
+            columns = [[row[j] for row in frame.matrix] for j in range(k - 1, n)]
+            basis = frame.flag[k - 1]
+            assert all(isinstance(x, int) for b in basis for x in b.values())
+            vectors = [[b.get(i, 0) for i in range(n)] for b in basis]
+            assert len(basis) == n - k + 1 == rank(ExactMatrix(columns)) == rank(ExactMatrix(columns + vectors))
+            pivots = [max(b) for b in basis]
+            assert all(p not in b for p in pivots for b in basis if max(b) != p)
 
 
 def test_companion_example3_completed(corpus_systems):

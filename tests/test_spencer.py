@@ -13,6 +13,7 @@ from formalpde.ratlinalg import rank
 from formalpde.spencer import (
     _frames,
     cohomology,
+    curve_frame,
     delta_matrix,
     is_involutive_symbol,
     janet_tableau,
@@ -362,11 +363,12 @@ def _pivot_classes(moved, order):
 
 
 def _test_frames(n, seeds=(0, 1)):
-    """The search frames of the seeds, the reversal permutation and a non-integral frame."""
+    """The search frames of the seeds, the reversal permutation, a non-integral
+    frame and the curve frame A(2)."""
     half = [[Fraction(i == j) + Fraction(j == i + 1, 2) for j in range(n)] for i in range(n)]
     half[-1][0] += Fraction(2, 3)
     reverse = CoordinateChange.permutation(list(range(n, 0, -1)))
-    return [f for seed in seeds for f in _frames(n, seed)] + [reverse, CoordinateChange(half)]
+    return [f for seed in seeds for f in _frames(n, seed)] + [reverse, CoordinateChange(half), curve_frame(n)]
 
 
 def _check_frame_tableaux(sys, frames):
@@ -389,24 +391,35 @@ def test_frame_tableau_matches_changed_coordinates_on_random_systems(sys):
     _check_frame_tableaux(sys, _test_frames(sys.n, seeds=(0,))[-6:])
 
 
-@pytest.mark.parametrize("order, eliminated", [(2, 4), (4, 1)])
-def test_frame_tableau_eliminates_the_smaller_side(order, eliminated, monkeypatch):
-    # flagship: r = 4 equations and d = 6 at order 2, so the rows are mapped;
-    # r = 34 and d = 1 at order 4, so the one symbol vector is
+def test_frame_tableau_ranks_the_rows_on_each_flag_space(monkeypatch):
+    # flagship at order 4: r = 34 and d = 1, so rank_2..rank_4 are capped at
+    # C_k = #monomials of degree 4 in 5 - k variables, C_2 = 15, C_3 = 5, C_4 = 1
     from formalpde import spencer
 
-    sizes = []
+    calls = []
     forward = spencer.pivot_columns
 
-    def spy(rows):
-        sizes.append(len(rows))
-        return forward(rows)
+    def spy(rows, cap=None):
+        pulled = []
+
+        def read():
+            for row in rows:
+                pulled.append(row)
+                yield row
+
+        pivots = forward(read(), cap)
+        calls.append((cap, pivots, pulled))
+        return pivots
 
     sys = parse(BENCH_TEXTS["flagship"]).system
     monkeypatch.setattr(spencer, "pivot_columns", spy)
     frame = _frames(sys.n, 0)[0]
-    assert janet_tableau(sys, order, frame).beta == _pivot_classes(change_coordinates(sys, frame), order)
-    assert sizes == [eliminated]
+    assert janet_tableau(sys, 4, frame).beta == _pivot_classes(change_coordinates(sys, frame), 4)
+    assert [cap for cap, _, _ in calls] == [15, 5, 1]
+    for cap, pivots, pulled in calls:
+        assert len(set().union(*pulled)) <= 15
+        assert len(pivots) == cap
+        assert len(forward(pulled[:-1])) < cap  # no row is read past the cap
 
 
 def test_frame_tableau_rejects_parametric_systems_and_wrong_sizes():
