@@ -391,9 +391,14 @@ def test_frame_tableau_matches_changed_coordinates_on_random_systems(sys):
     _check_frame_tableaux(sys, _test_frames(sys.n, seeds=(0,))[-6:])
 
 
-def test_frame_tableau_ranks_the_rows_on_each_flag_space(monkeypatch):
-    # flagship at order 4: r = 34 and d = 1, so rank_2..rank_4 are capped at
-    # C_k = #monomials of degree 4 in 5 - k variables, C_2 = 15, C_3 = 5, C_4 = 1
+@pytest.mark.parametrize("order, eliminated", [(2, 4), (4, 1)])
+def test_frame_tableau_eliminates_the_smaller_side(order, eliminated, monkeypatch):
+    # flagship: r = 4 equations and d = 6 at order 2, r = 34 and d = 1 at
+    # order 4.  rank_k, the rank of the r rows on L_k, is capped at
+    # min(r, C_k), C_k = #columns of class >= k, and is at least C_k - d, so
+    # the flag eliminations leave at most min(r, d) pivots per rank undecided
+    from math import comb
+
     from formalpde import spencer
 
     calls = []
@@ -412,14 +417,21 @@ def test_frame_tableau_ranks_the_rows_on_each_flag_space(monkeypatch):
         return pivots
 
     sys = parse(BENCH_TEXTS["flagship"]).system
+    g = symbol(sys, order)
+    r, d = g.ambient - g.dim, g.dim
+    assert min(r, d) == eliminated
     monkeypatch.setattr(spencer, "pivot_columns", spy)
     frame = _frames(sys.n, 0)[0]
-    assert janet_tableau(sys, 4, frame).beta == _pivot_classes(change_coordinates(sys, frame), 4)
-    assert [cap for cap, _, _ in calls] == [15, 5, 1]
-    for cap, pivots, pulled in calls:
-        assert len(set().union(*pulled)) <= 15
-        assert len(pivots) == cap
-        assert len(forward(pulled[:-1])) < cap  # no row is read past the cap
+    beta = janet_tableau(sys, order, frame).beta
+    assert beta == _pivot_classes(change_coordinates(sys, frame), order)
+    sizes = [sys.m * comb(order + sys.n - k, order) for k in range(2, sys.n + 1)]
+    assert [cap for cap, _, _ in calls] == [min(r, c) for c in sizes]
+    assert [len(pivots) for _, pivots, _ in calls] == [sum(beta[k:]) for k in range(1, sys.n)]
+    for size, (cap, pivots, pulled) in zip(sizes, calls):
+        assert len(set().union(*pulled)) <= sizes[0]
+        assert cap - len(pivots) <= eliminated and size - d <= len(pivots)
+        if len(pivots) == cap:
+            assert len(forward(pulled[:-1])) < cap  # no row is read past the cap
 
 
 def test_frame_tableau_rejects_parametric_systems_and_wrong_sizes():
