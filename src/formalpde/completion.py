@@ -4,6 +4,9 @@ Completion repeats one-step projections until no equation of order <= q is
 gained, mirroring the classical R^(1), R^(2), ... progression, then certifies
 the result with the integrability criterion: some prolonged symbol g_rho is
 2-acyclic while every projection between the base order and rho is surjective.
+Each step projects the prolongation R_{q+1}, which holds every derivative of
+every equation up to order q + 1, so the loop, `is_completed` and
+`projection_surjective` read the one memoised elimination behind `slice_at`.
 """
 
 from __future__ import annotations

@@ -6,6 +6,10 @@ systems).  Prolongation, projection, linear changes of the independent
 variables and the first-order reduction all live here, together with the
 solution-space dimension per jet order.
 
+Prolongation, projection and the dimensions read one memoised elimination
+per (system, horizon): the RREF of the prolongation R_{q+r}, which holds
+every derivative of every equation up to order q + r.
+
 Systems are treated as immutable; every operation returns a new value.
 """
 
@@ -135,11 +139,12 @@ def memoised(fn):
 class CoordinateChange:
     """Invertible substitution d_i -> sum_j A[i][j] d_j of the independent variables.
 
-    `flag[k - 1]` lists a reduced integer basis of L_k = span(columns k..n of
-    A), as sparse vectors {coordinate: int}, each zero at the pivot (largest)
-    coordinates of the others.  It is built from column n down, each column of
-    A, cleared of denominators, reduced by the basis so far; a zero remainder
-    proves A singular.
+    `flag[k - 2]` lists a reduced integer basis of L_k = span(columns k..n of
+    A) for k = 2..n, as sparse vectors {coordinate: int}, each zero at the
+    pivot (largest) coordinates of the others.  It is built from column n
+    down, each column of A, cleared of denominators, reduced by the basis so
+    far; a zero remainder proves A singular.  L_1 is the whole space, so its
+    basis is reduced for that check only and not kept.
     """
 
     matrix: tuple
@@ -165,7 +170,7 @@ class CoordinateChange:
             vectors.append(v)
             pivots.append(p)
             flag.append(vectors)
-        object.__setattr__(self, "flag", tuple(reversed(flag)))
+        object.__setattr__(self, "flag", tuple(reversed(flag[:-1])))
 
     @classmethod
     @functools.cache
@@ -213,28 +218,11 @@ def prolonged_equations(sys: LinearSystem, horizon: int) -> list[Equation]:
     return out
 
 
-def _word_prolonged_equations(sys: LinearSystem, r: int) -> list[Equation]:
-    """Every formal derivative by a d-word of length <= r, per equation."""
-    out = []
-    for e in sys.equations:
-        for nu in js.multi_indices_upto(sys.n, r):
-            out.append(e.shift(nu))
-    return out
-
-
 @memoised
 def _full_rref(sys: LinearSystem, horizon: int):
     """RREF of all prolonged equations up to `horizon`, with its column list."""
     columns = js.jets_upto(sys.n, sys.m, horizon)
     matrix = equation_matrix(prolonged_equations(sys, horizon), columns, sys.params)
-    return rref(matrix), columns
-
-
-@memoised
-def _word_rref(sys: LinearSystem, r: int):
-    """RREF of the r-fold word prolongation, with its column list."""
-    columns = js.jets_upto(sys.n, sys.m, sys.order + r)
-    matrix = equation_matrix(_word_prolonged_equations(sys, r), columns, sys.params)
     return rref(matrix), columns
 
 
@@ -249,32 +237,29 @@ def slice_at(sys: LinearSystem, r: int) -> JetSpaceSlice:
     return JetSpaceSlice(r, len(columns) - len(result.pivots), tuple(parametric))
 
 
-def _equations_from_rref(result, columns) -> list[Equation]:
-    rows = result.matrix.sparse[: len(result.pivots)]
-    return [Equation({columns[j]: v for j, v in row.items()}) for row in rows]
-
-
 def prolong(sys: LinearSystem, r: int) -> LinearSystem:
-    """The system with every equation differentiated by all d-words of length <= r.
+    """The prolongation R_{q+r}: every derivative of every equation up to order q + r.
 
-    Duplicates among the formal derivatives are removed by taking the RREF
-    rows of the stacked matrix rather than by syntactic comparison.
+    Its equations are the RREF rows of `_full_rref(sys, q + r)`, the matrix
+    that `slice_at` reads dim R_{q+r} off, so duplicates among the formal
+    derivatives are removed by elimination rather than by syntactic comparison.
     """
-    result, columns = _word_rref(sys, r)
-    return sys.replace(_equations_from_rref(result, columns))
+    result, columns = _full_rref(sys, sys.order + r)
+    rows = result.matrix.sparse[: len(result.pivots)]
+    return sys.replace([Equation({columns[j]: v for j, v in row.items()}) for row in rows])
 
 
 @memoised
 def projected_system(sys: LinearSystem, s: int) -> LinearSystem:
-    """Order-q system cutting out the projection of the s-fold prolongation.
+    """Order-q system cutting out the projection to order q of R_{q+s}, which
+    holds every derivative of every equation up to order q + s.
 
-    The prolonged matrix is row reduced with the high-order columns first, so
-    the rows supported on jets of order <= q are exactly the consequences
-    visible at the original order.  Memoised, so the projected system keeps
-    its own memo for every later caller.
+    Its matrix is row reduced with the high-order columns first, so
+    the rows of :func:`prolong` supported on jets of order <= q are exactly
+    the consequences visible at the original order.  Memoised, so the
+    projected system keeps its own memo for every later caller.
     """
-    result, columns = _word_rref(sys, s)
-    return sys.replace([e for e in _equations_from_rref(result, columns) if e.order <= sys.order])
+    return sys.replace([e for e in prolong(sys, s).equations if e.order <= sys.order])
 
 
 @functools.lru_cache(maxsize=64)

@@ -243,7 +243,7 @@ def janet_tableau(sys: LinearSystem, order: int, frame: CoordinateChange | None 
         if 0 < g.dim < g.ambient:
             result, columns = _symbol_rref(sys, order)
             rows = [integer_row(v) for v in result.matrix.sparse[: len(result.pivots)]]
-            ranks = [len(rows), *(_flag_rank(rows, columns, m, order, frame.flag[k]) for k in range(1, n)), 0]
+            ranks = [len(rows), *(_flag_rank(rows, columns, m, order, basis) for basis in frame.flag), 0]
             beta = [ranks[i] - ranks[i + 1] for i in range(n)]
             return JanetTableau(order, tuple(beta), tuple(c - b for c, b in zip(counts, beta)), frame)
     alpha = [sum(js.class_of(jc.mu) == i for jc in g.free_columns) for i in range(1, n + 1)]

@@ -3,9 +3,11 @@
 For each seed given on the command line it runs, in this process and in
 json and text: `analyze`, `involution`, `inverse`, `purity` and
 `hilbert --file --trunc 7` on the 16 corpus texts, the 3 bench inputs, the
-six-variable system that reaches the most high-order frame tableaux, and
-the flat Killing and conformal Killing systems for n = 2-5 (m = n unknowns,
-so their characteristic minors are n x n), plus `examples run all`.  Each
+six-variable system that reaches the most high-order frame tableaux, the
+two-unknown system whose completion needs every derivative of the full
+prolongation (z1 = 0 forces z1_13 = 0 and so z2 = 0), and the flat Killing
+and conformal Killing systems for n = 2-5 (m = n unknowns, so their
+characteristic minors are n x n), plus `examples run all`.  Each
 run prints one line,
 
     <seed> <report mode> <command> <system> <sha256 of stdout, stderr, exit code>
@@ -37,11 +39,12 @@ from conftest import BENCH_TEXTS, CORPUS_TEXTS, killing_text  # noqa: E402
 from make_report_pins import COMMANDS, run_cli  # noqa: E402
 
 SIX_VAR_TEXT = "vars=6; eq: y[6,6,6]=0; eq: y[5,6]-y[4,4]=0; eq: y[3,5]-y[1,2]=0\n"
+HIDDEN_ZERO_TEXT = "vars=3; unknowns=2; eq: z2[1,1]=0; eq: z1[1,3]-z2[]=0; eq: z1[]=0\n"
 
 
 def digests(seeds: list[int]):
     """(seed, mode, command, system, digest) of every run, in a fixed order."""
-    texts = {**CORPUS_TEXTS, **BENCH_TEXTS, "six-var": SIX_VAR_TEXT}
+    texts = {**CORPUS_TEXTS, **BENCH_TEXTS, "six-var": SIX_VAR_TEXT, "hidden-zero": HIDDEN_ZERO_TEXT}
     for n in range(2, 6):
         texts[f"killing{n}"] = killing_text(n)
         texts[f"conformal-killing{n}"] = killing_text(n, conformal=True)

@@ -302,10 +302,26 @@ def test_cli_analyze_order_zero_equation(text, tmp_path, capsys):
     assert "principal_class_series" not in report["hilbert"]
 
 
+HIDDEN_ZERO_TEXT = "vars=3; unknowns=2; eq: z2[1,1]=0; eq: z1[1,3]-z2[]=0; eq: z1[]=0;"
+
+
+def test_cli_analyze_completes_a_system_whose_prolongation_forces_zero(tmp_path, capsys):
+    # z1 = 0 gives z1_13 = 0 in R_2, hence z2 = 0, and R_3 adds z2_i = 0
+    f = tmp_path / "hidden-zero.pde"
+    f.write_text(HIDDEN_ZERO_TEXT, encoding="utf-8")
+    assert main(["--report", "json", "analyze", str(f)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["completion"]["verdict"] == "completed"
+    assert report["completion"]["steps"] == 1
+    assert report["inverse"]["finite_dimension"] == 0
+    assert set(report["hilbert"]["function"]) == {0}
+
+
 @pytest.mark.parametrize("command", ["purity", "inverse"])
-def test_cli_inconclusive_completion_exit_code(command, tmp_path, capsys):
+def test_cli_inconclusive_completion_exit_code(command, tmp_path, capsys, monkeypatch):
     f = tmp_path / "window.pde"
-    f.write_text("vars=3; unknowns=2; eq: z2[1,1]=0; eq: z1[1,3]-z2[]=0; eq: z1[]=0;", encoding="utf-8")
+    f.write_text(HIDDEN_ZERO_TEXT, encoding="utf-8")
+    monkeypatch.setattr("formalpde.completion.MAX_STEPS", 1)
     assert main(["--report", "json", "analyze", str(f)]) == EXIT_INCONCLUSIVE
     assert json.loads(capsys.readouterr().out)["completion"]["verdict"] == "window_inconclusive"
     assert main(["--report", "json", command, str(f)]) == EXIT_INCONCLUSIVE

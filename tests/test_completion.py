@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
 
-from conftest import BENCH_TEXTS, CORPUS_TEXTS, killing_text, make_system
+from conftest import BENCH_TEXTS, CORPUS_TEXTS, constant_coefficient_systems, killing_text, make_system
 from formalpde import completion
 from formalpde import jetspace as js
 from formalpde.completion import (
@@ -62,6 +63,13 @@ def test_complete_twisted_cubic_reduces_order(corpus_systems):
     assert len(final.equations) == 3
     support = sorted(sorted(js.digits(jc.mu) for jc in e.terms) for e in final.equations)
     assert support == sorted([[(2,), (3, 3)], [(1,), (2, 3)], [(1, 3), (2, 2)]])
+
+
+def test_complete_twisted_cubic_names_what_each_step_gains(corpus_systems):
+    # R_4 of the input holds every equation the completion adds, so one step gains them all
+    report = complete(corpus_systems["example6_twisted"])
+    assert report.steps == 1
+    assert all(step.gained for step in report.trace)
 
 
 def test_projection_surjective_example3(corpus_systems):
@@ -200,6 +208,35 @@ def test_completion_preserves_solution_spaces(corpus_systems):
             before = slice_at(prolong(sys, horizon - sys.order), r).dimension
             after = slice_at(prolong(final, max(horizon - final.order, 0)), r).dimension
             assert before == after, (name, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_coefficient_systems())
+# four steps, and the prolongations first agree at horizon q + 4 = 6
+@example(parse("vars=3; unknowns=2; eq: z1[3,3]=0; eq: z2[2,3]+z1[2]=0; eq: z2[2,3]+z2[]=0").system)
+def test_completion_certifies_itself_and_keeps_the_solutions(sys):
+    report = complete(sys)
+    assume(report.integrable)
+    final, q = report.final_system, sys.order
+    again = complete(final)
+    assert (again.verdict, again.steps) == ("formally_integrable", 0)
+    assert is_completed(final)
+
+    def agree(horizon):
+        return all(
+            slice_at(prolong(sys, horizon - q), r).dimension
+            == slice_at(prolong(final, horizon - final.order), r).dimension
+            for r in range(horizon + 1)
+        )
+
+    # completion adds only consequences, so some prolongation of the input
+    # agrees with the final system at every order, and every deeper one does
+    # too; each step and each order reduction differentiates by at most q + 1
+    horizon = q
+    while not agree(horizon):
+        horizon += 1
+        assert horizon <= q + (report.steps + q) * (q + 1)
+    assert agree(horizon + 1)
 
 
 def test_codimension_invariant_under_frames(corpus_systems):
