@@ -5,8 +5,10 @@ gained, mirroring the classical R^(1), R^(2), ... progression, then certifies
 the result with the integrability criterion: some prolonged symbol g_rho is
 2-acyclic while every projection between the base order and rho is surjective.
 Each step projects the prolongation R_{q+1}, which holds every derivative of
-every equation up to order q + 1, so the loop, `is_completed` and
-`projection_surjective` read the one memoised elimination behind `slice_at`.
+every equation up to order q + 1, and the loop stops when `is_completed` sees
+no gain, so the loop, `is_completed` and `projection_surjective` read the one
+memoised elimination behind `slice_at`.  `reduce_order` reads the lower
+presentation off the same memo, as a projection of negative step.
 """
 
 from __future__ import annotations
@@ -69,17 +71,22 @@ def _gained_equations(old: LinearSystem, new: LinearSystem) -> tuple:
 
 
 def reduce_order(sys: LinearSystem) -> LinearSystem:
-    """Drop to a lower-order presentation when the low-order rows generate everything."""
+    """Drop to a lower-order presentation when the low-order rows generate everything.
+
+    With h the highest equation order below q, the candidate is R_h, the
+    prolongations of the equations of order <= h: `projected_system(sys, h - q)`,
+    memoised on `sys`.  It is taken when its dim R_q equals that of `sys`.
+    """
     current = sys
     while current.order > 1:
         q = current.order
-        sub_eqs = [e for e in current.equations if e.order < q]
-        if not sub_eqs:
+        h = max((e.order for e in current.equations if e.order < q), default=None)
+        if h is None:
             break
-        sub = current.replace(sub_eqs)
-        if slice_at(sub, q).dimension != slice_at(current, q).dimension:
+        lower = projected_system(current, h - q)
+        if slice_at(lower, q).dimension != slice_at(current, q).dimension:
             break
-        current = projected_system(sub, 0)
+        current = lower
     return current
 
 
@@ -93,7 +100,7 @@ def projection_surjective(sys: LinearSystem, order: int) -> bool:
 
 
 def complete(sys: LinearSystem) -> IntegrabilityReport:
-    """Project one step at a time until nothing new appears, then certify.
+    """Project one step at a time until :func:`is_completed` sees nothing new, then certify.
 
     The certification walks rho upward from the final order looking for a
     2-acyclic symbol with surjective projections below; when the window runs
@@ -115,22 +122,17 @@ def _completion(sys: LinearSystem) -> IntegrabilityReport:
         return IntegrabilityReport("formally_integrable", 0, (), sys, 0, ((0, True),), False)
     current = sys
     trace = []
-    steps = 0
     window = stabilization_window(sys)
     for step in range(1, MAX_STEPS + 1):
-        q = current.order
-        dims_before = _dims_upto(current, q)
-        nxt = projected_system(current, 1)
-        dims_after = _dims_upto(nxt, q)
-        if dims_after == dims_before:
+        if is_completed(current):
             break
+        q, nxt = current.order, projected_system(current, 1)
         gained = _gained_equations(current, nxt)
-        trace.append(CompletionStep(step, gained, dims_before, dims_after))
+        trace.append(CompletionStep(step, gained, _dims_upto(current, q), _dims_upto(nxt, q)))
         current = nxt
-        steps += 1
     else:
         return IntegrabilityReport(
-            "window_inconclusive", steps, tuple(trace), current, None, (), True
+            "window_inconclusive", len(trace), tuple(trace), current, None, (), True
         )
     current = reduce_order(current)
     q = current.order
@@ -149,9 +151,9 @@ def _completion(sys: LinearSystem) -> IntegrabilityReport:
     if acyclic_order is None:
         verdict = "window_inconclusive"
     else:
-        verdict = "formally_integrable" if steps == 0 else "completed"
+        verdict = "completed" if trace else "formally_integrable"
     return IntegrabilityReport(
-        verdict, steps, tuple(trace), current, acyclic_order, tuple(flags), window_limited
+        verdict, len(trace), tuple(trace), current, acyclic_order, tuple(flags), window_limited
     )
 
 

@@ -8,7 +8,9 @@ solution-space dimension per jet order.
 
 Prolongation, projection and the dimensions read one memoised elimination
 per (system, horizon): the RREF of the prolongation R_{q+r}, which holds
-every derivative of every equation up to order q + r.
+every derivative of every equation up to order q + r.  Coordinate changes
+expand each monomial under the linear map with :func:`monomial_expander`,
+the expansion that the frame tableaux of :mod:`spencer` use as well.
 
 Systems are treated as immutable; every operation returns a new value.
 """
@@ -256,55 +258,62 @@ def projected_system(sys: LinearSystem, s: int) -> LinearSystem:
 
     Its matrix is row reduced with the high-order columns first, so
     the rows of :func:`prolong` supported on jets of order <= q are exactly
-    the consequences visible at the original order.  Memoised, so the
-    projected system keeps its own memo for every later caller.
+    the consequences visible at the original order.  For s < 0 every row of
+    R_{q+s} has order <= q, so this is R_{q+s} itself: the prolongations of
+    the equations of order <= q + s.  Memoised, so the projected system
+    keeps its own memo for every later caller.
     """
     return sys.replace([e for e in prolong(sys, s).equations if e.order <= sys.order])
 
 
-@functools.lru_cache(maxsize=64)
-def _expansion_steps(n: int, degree: int) -> tuple:
-    """Steps (code of mu, code of mu - 1_i, i), i + 1 the class of mu, of the codes
-    sum_j mu_j B^j, B = degree + 1, for 0 < |mu| <= degree; {code: index} at degree."""
-    code = {mu: sum(e * (degree + 1) ** j for j, e in enumerate(mu)) for mu in js.multi_indices_upto(n, degree)}
-    steps = [(c, c - (degree + 1) ** (js.class_of(mu) - 1), js.class_of(mu) - 1) for mu, c in code.items() if any(mu)]
-    return steps, {code[mu]: b for b, mu in enumerate(js.multi_indices(n, degree))}
+def monomial_expander(forms: list):
+    """x^mu -> prod_i f_i^{mu_i} for linear forms f_i = {code: int}, a code
+    sum_s e_s B^s naming t^e for B above every exponent; each power f_i^e is
+    built once, from f_i^{e-1}, and kept for later calls."""
+    powers = [[{0: 1}] for _ in forms]
 
+    def times(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for u, x in a.items():
+            for v, y in b.items():
+                out[u + v] = out.get(u + v, 0) + x * y
+        return {u: x for u, x in out.items() if x}
 
-def substitution(a, degree: int) -> tuple[list, int]:
-    """(expansions, den) of x^mu -> (Ax)^mu = prod_i (sum_j A[i][j] x_j)^{mu_i}:
-    den*A is the least integral multiple of A; expansions lists (den*A x)^mu for
-    each mu of order `degree` in `multi_indices` order, as {index of nu: int}.
-    Built one order at a time, (Ax)^mu = (Ax)^{mu - 1_i} (Ax)_i, on the codes."""
-    steps, top = _expansion_steps(len(a), degree)
-    den = math.lcm(*(x.denominator for row in a for x in row))
-    forms = [[((degree + 1) ** j, int(x * den)) for j, x in enumerate(row) if x] for row in a]
-    coded = {0: {0: 1}}
-    for code, lower, i in steps:
-        acc: dict = {}
-        for nu, v in coded[lower].items():
-            for step, x in forms[i]:
-                acc[nu + step] = acc.get(nu + step, 0) + v * x
-        coded[code] = {nu: v for nu, v in acc.items() if v}
-    return [{top[nu]: v for nu, v in coded[code].items()} for code in top], den
+    def expand(mu) -> dict:
+        poly = {0: 1}
+        for i, e in enumerate(mu):
+            if e:
+                while len(powers[i]) <= e:
+                    powers[i].append(times(powers[i][-1], forms[i]))
+                poly = times(poly, powers[i][e])
+        return poly
+
+    return expand
 
 
 def change_coordinates(sys: LinearSystem, change: CoordinateChange) -> LinearSystem:
-    """Apply d_i -> sum_j A[i][j] d_j to the operator form of every equation."""
+    """Apply d_i -> sum_j A[i][j] d_j to the operator form of every equation:
+    d^mu becomes (den*A d)^mu / den^|mu|, den*A the least integral multiple of
+    A, expanded by :func:`monomial_expander` on the codes sum_j nu_j B^j, B = q + 1."""
     if sys.params:
         raise ValueError("coordinate changes apply to rational-coefficient systems only")
     if change.n != sys.n:
         raise ValueError("coordinate change size mismatch")
-    expansions = {}
-    for t in {js.order_of(jc.mu) for e in sys.equations for jc in e.terms}:
-        level, den = substitution(change.matrix, t)
-        monomials = js.multi_indices(sys.n, t)
-        for mu, expansion in zip(monomials, level):
-            expansions[mu] = {monomials[nu]: Fraction(w, den**t) for nu, w in expansion.items()}
+    a, base = change.matrix, sys.order + 1
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    expand = monomial_expander([{base**j: int(x * den) for j, x in enumerate(row) if x} for row in a])
+
+    def decoded(code: int) -> tuple:
+        return tuple(code // base**j % base for j in range(sys.n))
+
+    expansions: dict = {}
     new_eqs = []
     for e in sys.equations:
         terms: dict = {}
         for jc, c in e.terms.items():
+            if jc.mu not in expansions:
+                scale = den ** js.order_of(jc.mu)
+                expansions[jc.mu] = {decoded(u): Fraction(w, scale) for u, w in expand(jc.mu).items()}
             for nu, w in expansions[jc.mu].items():
                 terms[jc.k, nu] = terms.get((jc.k, nu), 0) + c * w
         new_eqs.append(Equation(terms))  # drops the terms that cancelled

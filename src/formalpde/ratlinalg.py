@@ -337,7 +337,7 @@ class ParamScalar:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        r = self.reduced(full=True)
+        r = self.reduced()
         return hash((r.num, r.den))
 
     def __add__(self, other) -> "ParamScalar":
@@ -372,9 +372,9 @@ class ParamScalar:
     def __rtruediv__(self, other) -> "ParamScalar":
         return self._coerce(other) / self
 
-    def reduced(self, full: bool = False) -> "ParamScalar":
-        """Content-reduced copy; with full=True also cancel the polynomial gcd."""
-        if not full or not self.num:
+    def reduced(self) -> "ParamScalar":
+        """Copy with the polynomial gcd of numerator and denominator cancelled."""
+        if not self.num:
             return ParamScalar(self.num, self.den)
         g = poly_gcd(self.num, self.den)
         if g.is_constant():
@@ -388,7 +388,7 @@ class ParamScalar:
         return self.num.evaluate(point) / d
 
     def __str__(self) -> str:
-        r = self.reduced(full=True)
+        r = self.reduced()
         if r.den == Poly.one(self.nvars):
             return str(r.num)
         return f"({r.num})/({r.den})"

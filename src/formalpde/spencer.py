@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, memoised
+from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, memoised, monomial_expander
 from .ratlinalg import ExactMatrix, integer_row, pivot_columns, rank
 
 # random unimodular frames tried after the identity frame fails Cartan's test,
@@ -254,29 +254,13 @@ def _flag_rank(rows, columns, m: int, degree: int, basis: tuple) -> int:
     """Rank of the integer symbol rows restricted to the span of `basis`.
 
     A point sum_s t_s b_s has coordinates x_i = sum_s b_s[i] t_s, a single term
-    at each pivot, so x^mu expands on the codes sum_s e_s B^s (B = degree + 1)
-    of the monomials t^e, once per monomial and from powers of each x_i taken
-    once.  The rank is at most min(r, m * #monomials), where it stops.
+    at each pivot, so :func:`monomial_expander` expands x^mu on the codes
+    sum_s e_s B^s (B = degree + 1) of the monomials t^e, once per monomial.
+    The rank is at most min(r, m * #monomials), where it stops.
     """
     forms = [{(degree + 1) ** s: b[i] for s, b in enumerate(basis) if i in b} for i in range(len(columns[0].mu))]
-    powers = [[{0: 1}] for _ in forms]
+    expand = monomial_expander(forms)
     expansions: dict = {}
-
-    def times(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for u, x in a.items():
-            for v, y in b.items():
-                out[u + v] = out.get(u + v, 0) + x * y
-        return {u: x for u, x in out.items() if x}
-
-    def expand(mu) -> dict:
-        poly = {0: 1}
-        for i, e in enumerate(mu):
-            if e:
-                while len(powers[i]) <= e:
-                    powers[i].append(times(powers[i][-1], forms[i]))
-                poly = times(poly, powers[i][e])
-        return poly
 
     def images():
         for row in rows:

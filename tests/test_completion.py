@@ -17,9 +17,10 @@ from formalpde.completion import (
     involutive_order,
     is_completed,
     projection_surjective,
+    reduce_order,
 )
 from formalpde.parser import parse
-from formalpde.pdesystem import CoordinateChange, change_coordinates, prolong, slice_at
+from formalpde.pdesystem import CoordinateChange, change_coordinates, projected_system, prolong, slice_at
 from formalpde.ratlinalg import Poly
 from formalpde.spencer import is_involutive_symbol, random_unimodular, stabilization_window
 
@@ -261,8 +262,9 @@ def test_complete_is_memoised(name):
 @pytest.mark.parametrize("name", [n for n in CORPUS_TEXTS if n != "example6_twisted"])
 def test_is_completed_after_complete_runs_no_elimination(monkeypatch, name):
     # the completion's last projection is memoised on its final system.
-    # example6_twisted is left out: reduce_order lowers its order, and the
-    # lower-order system is a fresh projection whose memo starts empty
+    # example6_twisted is left out: reduce_order lowers its order, and its
+    # reduced system, though memoised on the completed one, has not yet
+    # eliminated its own one-step projection projected_system(final, 1)
     from formalpde import ratlinalg
 
     report = complete(parse(CORPUS_TEXTS[name]).system)
@@ -271,6 +273,32 @@ def test_is_completed_after_complete_runs_no_elimination(monkeypatch, name):
     monkeypatch.setattr(ratlinalg, "_echelon_int", lambda rows: eliminations.append(rows) or echelon(rows))
     assert is_completed(report.final_system)
     assert eliminations == []
+
+
+def _lower_rows_projected(sys):
+    """The lower presentation built from a fresh system of the rows of order < q,
+    projected at step 0: the oracle of `reduce_order`'s memoised projection."""
+    return projected_system(sys.replace([e for e in sys.equations if e.order < sys.order]), 0)
+
+
+def test_reduce_order_reads_the_lower_presentation_off_the_completed_system():
+    sys = parse(CORPUS_TEXTS["example6_twisted"]).system
+    completed = projected_system(sys, 1)
+    assert is_completed(completed) and completed.order == 3
+    lower = projected_system(completed, 2 - 3)
+    assert lower.equations == _lower_rows_projected(completed).equations
+    assert reduce_order(completed) is reduce_order(completed) is lower
+    assert complete(sys).final_system is lower
+
+
+@settings(max_examples=80, deadline=None)
+@given(constant_coefficient_systems())
+def test_reduce_order_projection_matches_the_lower_rows(sys):
+    lower_orders = [e.order for e in sys.equations if e.order < sys.order]
+    assume(lower_orders)
+    lower = projected_system(sys, max(lower_orders) - sys.order)
+    assert lower.equations == _lower_rows_projected(sys).equations
+    assert reduce_order(sys) is reduce_order(sys)
 
 
 def _involutive_order_by_each_order(sys, seed):

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_system
+from conftest import CORPUS_TEXTS, make_system
 from formalpde import jetspace as js
+from formalpde.parser import parse
 from formalpde.pdesystem import (
     CoordinateChange,
     LinearSystem,
@@ -155,6 +156,35 @@ def test_coordinate_change_flag_is_a_reduced_basis_of_the_trailing_columns():
             assert len(basis) == n - k + 1 == rank(ExactMatrix(columns)) == rank(ExactMatrix(columns + vectors))
             pivots = [max(b) for b in basis]
             assert all(p not in b for p in pivots for b in basis if max(b) != p)
+
+
+def test_change_coordinates_matches_sympy_expansion():
+    # an oracle independent of the expansion that change_coordinates shares
+    # with the frame tableaux: each equation as the operator sum_k c d^mu y^k,
+    # d_i -> sum_j A[i][j] d_j, multiplied out by sympy
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    for text in CORPUS_TEXTS.values():
+        sys = parse(text).system
+        d = sympy.symbols(f"d1:{sys.n + 1}")
+        half = [[F(i == j) + F(j == i + 1, 2) for j in range(sys.n)] for i in range(sys.n)]
+        frames = [random_unimodular(sys.n, rng) for _ in range(3)] + [curve_frame(sys.n), CoordinateChange(half)]
+        for frame in frames:
+            images = [sum(sympy.Rational(str(x)) * dj for x, dj in zip(row, d)) for row in frame.matrix]
+            moved = change_coordinates(sys, frame)
+            assert len(moved.equations) == len(sys.equations)
+            for e, got in zip(sys.equations, moved.equations):
+                operators: dict = {}
+                for jc, c in e.terms.items():
+                    term = sympy.Rational(str(c)) * sympy.Mul(*(images[i] ** p for i, p in enumerate(jc.mu)))
+                    operators[jc.k] = operators.get(jc.k, 0) + term
+                expected = {
+                    (k, nu): F(int(coef.p), int(coef.q))
+                    for k, op in operators.items()
+                    for nu, coef in sympy.Poly(op, *d).terms()
+                    if coef
+                }
+                assert {(jc.k, jc.mu): c for jc, c in got.terms.items()} == expected
 
 
 def test_companion_example3_completed(corpus_systems):

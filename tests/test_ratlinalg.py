@@ -369,7 +369,7 @@ def test_poly_arithmetic_matches_evaluation(p, q, point):
 def test_paramscalar_full_reduction():
     chi = ParamScalar(Poly.var(1, 0))
     ratio = (chi * chi - 1) / (chi - 1)
-    reduced = ratio.reduced(full=True)
+    reduced = ratio.reduced()
     assert reduced.den == Poly.one(1)
     assert reduced == chi + 1
 
