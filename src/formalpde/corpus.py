@@ -38,7 +38,6 @@ from .pdesystem import (
     CoordinateChange,
     change_coordinates,
     first_order_companion,
-    prolong,
     slice_at,
     stable_dimension,
 )
@@ -128,12 +127,12 @@ def system(name: str):
 
 
 def framed(name: str):
-    """The corpus system moved to its classical delta-regular frame."""
+    """The corpus system moved, as given, to its classical delta-regular frame."""
     sys = system(name)
     frame = FRAMES.get(name)
     if frame is None:
         return sys
-    return prolong(change_coordinates(sys, frame), 0)
+    return change_coordinates(sys, frame)
 
 
 def _par_names(jets, m: int = 1, var_offset: int = 0):

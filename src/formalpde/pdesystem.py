@@ -245,6 +245,8 @@ def prolong(sys: LinearSystem, r: int) -> LinearSystem:
     Its equations are the RREF rows of `_full_rref(sys, q + r)`, the matrix
     that `slice_at` reads dim R_{q+r} off, so duplicates among the formal
     derivatives are removed by elimination rather than by syntactic comparison.
+    It is R_{q+r}, not a normal form of the equations: a caller that moves a
+    system to analyse it as given passes `change_coordinates` output directly.
     """
     result, columns = _full_rref(sys, sys.order + r)
     rows = result.matrix.sparse[: len(result.pivots)]
@@ -334,7 +336,8 @@ def first_order_companion(sys: LinearSystem) -> LinearSystem:
     Produces the defining relations z(mu)_i = z(mu+1_i), the compatibility
     relations between the different first-order descriptions of one order-q
     jet, and the original equations rewritten with each top-order jet replaced
-    by the derivative of the z-unknown of its class.
+    by the derivative of the z-unknown of its class.  Returns their R_1, whose
+    dim R_1 is the input's dim R_q; the rows as built fall short on y1[1,1], y2.
     """
     q = sys.order
     unknowns = companion_unknowns(sys)

@@ -26,7 +26,6 @@ from .pdesystem import (
     memoised,
     prolong,
     slice_at,
-    stable_dimension,
     stable_order,
 )
 from .ratlinalg import ExactMatrix, ParamScalar, Poly, integer_poly_row, kernel_basis
@@ -113,18 +112,21 @@ def _substituted(sys: LinearSystem, s: int) -> LinearSystem:
     return LinearSystem(sys.n - s, sys.m, eqs, params=s, var_offset=s)
 
 
-def localized_dimension(loc: LocalizedSystem) -> int:
-    """Dimension over QQ(chi) of the localized inverse system."""
+def _localized_order(loc: LocalizedSystem) -> int:
     try:
-        return stable_dimension(loc.system)
+        return stable_order(loc.system)
     except ValueError:
         raise ValueError("wrong codimension for localization: localized system is not finite type")
 
 
+def localized_dimension(loc: LocalizedSystem) -> int:
+    """Dimension over QQ(chi) of the localized inverse system."""
+    return slice_at(loc.system, _localized_order(loc)).dimension
+
+
 def localized_parametric_jets(loc: LocalizedSystem):
     """Parametric jets of the localized system at its stabilization order."""
-    o = stable_order(loc.system)
-    return slice_at(loc.system, o).parametric
+    return slice_at(loc.system, _localized_order(loc)).parametric
 
 
 def torsion_generators(sys: LinearSystem, r: int) -> list[TorsionElement]:
@@ -147,10 +149,7 @@ def torsion_generators(sys: LinearSystem, r: int) -> list[TorsionElement]:
     candidates = [jc for jc in slice_at(sys, q - 1).parametric]
     if not candidates:
         return []
-    try:
-        o_loc = stable_order(loc.system)
-    except ValueError:
-        raise ValueError("wrong codimension for localization: localized system is not finite type")
+    o_loc = _localized_order(loc)
     horizon = max(o_loc + 1, loc.system.order, q)
     residues, loc_parametric = residue_map(loc.system, horizon)
     vectors = []
@@ -185,7 +184,11 @@ def localized_generators(loc: LocalizedSystem) -> list[ModularEquation]:
 
 
 def is_pure(sys: LinearSystem, seed: int = 0) -> PurityReport:
-    """Complete, find the codimension, localize there and look for torsion."""
+    """Complete, find the codimension, localize there and look for torsion.
+
+    A frame other than the identity moves the final system, and its R_q is
+    localized: orders there count the trailing variables only, so the
+    localization needs the derivatives of the lower-order equations."""
     notes = []
     report = complete(sys)
     if not report.integrable:

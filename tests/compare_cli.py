@@ -35,10 +35,9 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS))
 
-from conftest import BENCH_TEXTS, CORPUS_TEXTS, killing_text  # noqa: E402
+from conftest import BENCH_TEXTS, CORPUS_TEXTS, SIX_VAR_TEXT, killing_text  # noqa: E402
 from make_report_pins import COMMANDS, run_cli  # noqa: E402
 
-SIX_VAR_TEXT = "vars=6; eq: y[6,6,6]=0; eq: y[5,6]-y[4,4]=0; eq: y[3,5]-y[1,2]=0\n"
 HIDDEN_ZERO_TEXT = "vars=3; unknowns=2; eq: z2[1,1]=0; eq: z1[1,3]-z2[]=0; eq: z1[]=0\n"
 
 

@@ -58,6 +58,10 @@ CORPUS_TEXTS = {
     "abstract_n3": "vars=3; eq: y[3,3]=0; eq: y[2,3]-y[1,1]=0; eq: y[2,2]=0",
 }
 
+# the six-variable system that reaches the most high-order frame tableaux; at
+# seed 0 its involution test wins a frame other than the identity
+SIX_VAR_TEXT = "vars=6; eq: y[6,6,6]=0; eq: y[5,6]-y[4,4]=0; eq: y[3,5]-y[1,2]=0\n"
+
 # the benchmark's input texts, by file stem: five-var, flagship, two-unknown
 BENCH_TEXTS = {
     path.stem: path.read_text(encoding="utf-8")

@@ -3,7 +3,9 @@
 The pins cover `analyze`, `involution`, `inverse`, `purity` and
 `hilbert --file --trunc 7` on the 16 corpus texts in json and text at seed 0,
 and in json at seeds 1-2 on the seed-sensitive systems: example2, example3,
-example8 and the two-unknown bench input.
+example8 and the two-unknown bench input.  The six-variable system is pinned
+in json and text at seed 0, where `purity` localizes it in a frame other than
+the identity.
 `tests/test_report_pins.py` checks every pin.
 
 Regenerate the pins only for a deliberate report change:
@@ -36,9 +38,9 @@ SEED_SENSITIVE = ("example2", "example3", "example8", "two-unknown")
 
 def texts() -> dict:
     sys.path.insert(0, str(TESTS))
-    from conftest import CORPUS_TEXTS
+    from conftest import CORPUS_TEXTS, SIX_VAR_TEXT
 
-    return {**CORPUS_TEXTS, "two-unknown": TWO_UNKNOWN.read_text(encoding="utf-8")}
+    return {**CORPUS_TEXTS, "two-unknown": TWO_UNKNOWN.read_text(encoding="utf-8"), "six-var": SIX_VAR_TEXT}
 
 
 def runs(name: str) -> list[tuple[int, str]]:

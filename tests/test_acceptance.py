@@ -301,4 +301,6 @@ def test_criterion_11_property_suites():
             frame = random_unimodular(sys.n, rng)
             moved = prolong(change_coordinates(sys, frame), 0)
             assert codimension(moved) == base_cd, name
+            # the moved system as given, the presentation `is_pure` localizes
+            assert codimension(change_coordinates(sys, frame)) == base_cd, name
     print("PASS criterion 11: property suites (delta^2, rank+nullity, Cartan agreement, commutation, frame invariance)")

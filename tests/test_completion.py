@@ -249,6 +249,8 @@ def test_codimension_invariant_under_frames(corpus_systems):
             frame = random_unimodular(final.n, rng)
             moved = prolong(change_coordinates(final, frame), 0)
             assert codimension(moved) == base
+            # the moved system as given, the presentation `is_pure` localizes
+            assert codimension(change_coordinates(final, frame)) == base
 
 
 @pytest.mark.parametrize("name", ["example3", "example7"])

@@ -232,6 +232,14 @@ def test_companion_preserves_solution_dimensions(corpus_systems):
     assert slice_at(comp, 1).dimension == slice_at(completed, 2).dimension
 
 
+def test_companion_of_a_mixed_order_system_keeps_dim_r():
+    # z2 = y2 = 0 and z2' = z4 give z4 = y2_1 = 0 only inside R_1 of the
+    # companion as built; the companion is that R_1, so dim R_1 is dim R_2
+    sys = parse("vars=1; unknowns=2; eq: z1[1,1]=0; eq: z2[]=0").system
+    comp = first_order_companion(sys)
+    assert slice_at(comp, 1).dimension == slice_at(sys, 2).dimension == 2
+
+
 def test_projection_dimensions_monotone(corpus_systems):
     for name in ("example3", "example6_twisted", "example7"):
         sys = corpus_systems[name]

@@ -1,12 +1,23 @@
 from __future__ import annotations
 
-import pytest
+import random
 
-from conftest import BENCH_TEXTS, CORPUS_TEXTS
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from conftest import BENCH_TEXTS, CORPUS_TEXTS, constant_coefficient_systems
+from formalpde import corpus, purity
 from formalpde import jetspace as js
-from formalpde.completion import codimension, complete, involutive_order
+from formalpde.completion import codimension, complete, involutive_order, is_completed
 from formalpde.parser import parse
-from formalpde.pdesystem import CoordinateChange, change_coordinates, prolong
+from formalpde.pdesystem import (
+    CoordinateChange,
+    change_coordinates,
+    first_order_companion,
+    prolong,
+    slice_at,
+)
 from formalpde.purity import (
     is_pure,
     localize,
@@ -16,6 +27,7 @@ from formalpde.purity import (
     torsion_generators,
 )
 from formalpde.ratlinalg import ParamScalar, Poly
+from formalpde.spencer import curve_frame, random_unimodular, symbol_dim
 
 
 def framed(sys, rows):
@@ -98,6 +110,12 @@ def test_localized_dimension_rejects_wrong_codimension(corpus_systems):
     # codimension is 1; keeping two variables leaves an infinite system
     with pytest.raises(ValueError, match="wrong codimension"):
         localized_dimension(localize(corpus_systems["example8"], 2))
+
+
+def test_localized_parametric_jets_rejects_wrong_codimension(corpus_systems):
+    final = complete(corpus_systems["example8"]).final_system
+    with pytest.raises(ValueError, match="wrong codimension"):
+        localized_parametric_jets(localize(final, 2))
 
 
 def test_torsion_example2(corpus_systems):
@@ -271,3 +289,72 @@ def test_frame_seed_changes_no_corpus_value(name):
         alpha = res.tableau.alpha if res.certificate.method == "cartan" else None
         values.add((codimension(final, seed=seed), order, purity.pure, purity.localized_dimension, alpha))
     assert len(values) == 1, (name, values)
+
+
+def test_is_pure_localizes_the_prolonged_moved_system():
+    # z1 solves a codimension-2 system, so a localization at codimension 1
+    # keeps z2 alone: localized dimension 1, the smallest character.  Moved
+    # into seed 1's winning frame, the three equations as given localize to
+    # dimension 2; R_q, which adds the derivatives of the two order-1
+    # equations, localizes to 1
+    sys = parse("vars=3; unknowns=2; eq: z1[3,3]=0; eq: z1[2]=0; eq: z2[2]=0").system
+    localized = []
+    localize_ = purity.localize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(purity, "localize", lambda s, r: localized.append(s) or localize_(s, r))
+        report = is_pure(sys, seed=1)
+    assert "characters required a frame change; localization done in that frame" in report.notes
+    assert (report.codimension, report.localized_dimension, report.alpha_crosscheck) == (1, 1, 1)
+    assert [len(s.equations) for s in localized] == [9, 9]
+
+
+@pytest.mark.parametrize("name", ["example2", "example3", "example8"])
+def test_corpus_framed_keeps_the_equations(name):
+    assert len(corpus.framed(name).equations) == len(corpus.system(name).equations)
+
+
+def _moved_invariants(sys, q):
+    """What the analyses read off a moved system: symbol and slice dimensions,
+    the completion test and the codimension.  The localized dimension is left
+    out: it depends on the presentation, which is why `is_pure` localizes R_q
+    (see `test_is_pure_localizes_the_prolonged_moved_system`)."""
+    return (
+        [symbol_dim(sys, t) for t in range(q, q + 3)],
+        [slice_at(sys, t).dimension for t in range(q + 2)],
+        is_completed(sys),
+        codimension(sys),
+    )
+
+
+def _companion_invariants(sys):
+    return [symbol_dim(sys, 1), symbol_dim(sys, 2), slice_at(sys, 1).dimension]
+
+
+def _assert_presentation_independent(final, frame):
+    # a moved final system reads the same as its R_q; the companion reads the
+    # same as its own R_1, and its dim R_1 is the final system's dim R_q
+    moved = change_coordinates(final, frame)
+    assert _moved_invariants(moved, final.order) == _moved_invariants(prolong(moved, 0), final.order)
+    companion = first_order_companion(final)
+    assert _companion_invariants(companion) == _companion_invariants(prolong(companion, 0))
+    assert slice_at(companion, 1).dimension == slice_at(final, max(final.order, 1)).dimension
+
+
+def test_corpus_finals_read_the_same_as_given_and_as_prolonged():
+    rng = random.Random(5)
+    for text in CORPUS_TEXTS.values():
+        final = complete(parse(text).system).final_system
+        for frame in (curve_frame(final.n), random_unimodular(final.n, rng)):
+            _assert_presentation_independent(final, frame)
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_coefficient_systems(), st.integers(0, 999))
+# y2 = 0 is of order 0: the companion as built misses z4 = y2_1 = 0 in dim R_1
+@example(parse("vars=1; unknowns=2; eq: z1[1,1]=0; eq: z2[]=0").system, 0)
+def test_completed_systems_read_the_same_as_given_and_as_prolonged(sys, seed):
+    report = complete(sys)
+    assume(report.integrable)
+    final = report.final_system
+    for frame in (curve_frame(final.n), random_unimodular(final.n, random.Random(seed))):
+        _assert_presentation_independent(final, frame)
