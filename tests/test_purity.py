@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH_TEXTS, CORPUS_TEXTS, constant_coefficient_systems
-from formalpde import corpus, purity
+from formalpde import corpus
 from formalpde import jetspace as js
 from formalpde.completion import codimension, complete, involutive_order, is_completed
 from formalpde.parser import parse
@@ -291,18 +291,19 @@ def test_frame_seed_changes_no_corpus_value(name):
     assert len(values) == 1, (name, values)
 
 
-def test_is_pure_localizes_the_prolonged_moved_system():
+def test_is_pure_localizes_the_prolonged_moved_system(monkeypatch):
     # z1 solves a codimension-2 system, so a localization at codimension 1
     # keeps z2 alone: localized dimension 1, the smallest character.  Moved
     # into seed 1's winning frame, the three equations as given localize to
     # dimension 2; R_q, which adds the derivatives of the two order-1
     # equations, localizes to 1
+    from formalpde import purity
+
     sys = parse("vars=3; unknowns=2; eq: z1[3,3]=0; eq: z1[2]=0; eq: z2[2]=0").system
     localized = []
     localize_ = purity.localize
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(purity, "localize", lambda s, r: localized.append(s) or localize_(s, r))
-        report = is_pure(sys, seed=1)
+    monkeypatch.setattr(purity, "localize", lambda s, r: localized.append(s) or localize_(s, r))
+    report = is_pure(sys, seed=1)
     assert "characters required a frame change; localization done in that frame" in report.notes
     assert (report.codimension, report.localized_dimension, report.alpha_crosscheck) == (1, 1, 1)
     assert [len(s.equations) for s in localized] == [9, 9]
@@ -310,7 +311,10 @@ def test_is_pure_localizes_the_prolonged_moved_system():
 
 @pytest.mark.parametrize("name", ["example2", "example3", "example8"])
 def test_corpus_framed_keeps_the_equations(name):
-    assert len(corpus.framed(name).equations) == len(corpus.system(name).equations)
+    # each text has equations of one order, so its moved rows span its R_q
+    framed_sys = corpus.framed(name)
+    assert len(framed_sys.equations) == len(corpus.system(name).equations)
+    assert framed_sys.equations == change_coordinates(corpus.system(name), corpus.FRAMES[name]).equations
 
 
 def _moved_invariants(sys, q):
