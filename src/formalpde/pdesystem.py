@@ -48,8 +48,10 @@ class Equation:
         return self.terms == other.terms
 
     def shift(self, nu) -> "Equation":
-        """Formal derivative d_nu: each term moves from mu to mu + nu."""
-        return Equation({JetCoordinate(jc.k, js.shift(jc.mu, nu)): c for jc, c in self.terms.items()})
+        """Formal derivative d_nu: each term moves from mu to mu + nu, built directly."""
+        out = Equation.__new__(Equation)
+        out.terms = {JetCoordinate(jc.k, js.shift(jc.mu, nu)): c for jc, c in self.terms.items()}
+        return out
 
     def top_terms(self) -> dict:
         q = self.order

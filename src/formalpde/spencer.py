@@ -5,7 +5,8 @@ prolongations landing at that order.  The delta map sends an s-form with
 values in g_order to an (s+1)-form with values in g_{order-1} by
 (delta w)^k_mu = dx^i wedge w^k_{mu+1_i}; its cohomology detects the
 obstructions to involution that the coordinate-dependent Janet tableau can
-miss.
+miss.  Its ranks are taken over QQ on integer rows, and at exterior degree 0
+read off dim g_order by Euler's identity (:func:`_delta_rank`).
 
 The numerical involution test is Cartan's: in some linear frame the count
 dim g_{order+1} = sum_i i*alpha_i must hold.  Equality in any frame implies
@@ -140,66 +141,70 @@ def symbol_dim(sys: LinearSystem, order: int) -> int:
     return symbol(sys, order).dim
 
 
-def _exterior_basis(n: int, s: int) -> list[tuple]:
-    return list(itertools.combinations(range(1, n + 1), s))
+def _lifts(sys: LinearSystem, order: int) -> list:
+    """lifts[t][i - 1]: the index in g_order's monomials of x_i times the free column t of g_{order-1}."""
+    if not symbol_dim(sys, order - 1):
+        return []
+    index = {jc: idx for idx, jc in enumerate(symbol(sys, order).monomials)}
+    units = [tuple(int(p == i) for p in range(sys.n)) for i in range(sys.n)]
+    free = symbol(sys, order - 1).free_columns
+    return [[index[JetCoordinate(jc.k, js.shift(jc.mu, u))] for u in units] for jc in free]
 
 
-def _delta_columns(sys: LinearSystem, s: int, order: int):
-    """Image under delta of each domain basis vector, as a sparse column {row: value}.
+def _delta_rows(sys: LinearSystem, s: int, order: int, basis, lifts):
+    """Sparse rows of delta at Lambda^s (x) g_order from the rows `basis` (one
+    per monomial) of a basis of g_order and its :func:`_lifts`.
 
-    Domain columns are indexed by (sorted index set I, symbol basis vector);
-    codomain rows by (index set J, coordinate of g_{order-1}).  Coordinates on
-    g_{order-1} are read off at its free (parametric) columns, which is exact
-    because each kernel basis vector is 1 on its own free column and 0 on the
-    others.  The sign of dx^i wedge dx^I is the parity of the insertion
-    position of i in the sorted result.  A column meets each row once: (J, t)
-    fixes i = J - I, and (i, t) the source monomial.
+    Columns are indexed by (sorted index set I, basis vector b), rows by (J,
+    free column t of g_{order-1}), exact coordinates on g_{order-1}.  Row
+    (J, t) is the sum over i in J of +-(row lifts[t][i-1] of `basis`) in the
+    block of I = J - i, + when i sits at an even position of J.
     """
     n = sys.n
     if not 0 <= s < n:
         raise ValueError("top exterior degree")
-    g_hi, lo_dim = symbol(sys, order), symbol_dim(sys, order - 1)
-    hi_cols = {jc: idx for idx, jc in enumerate(g_hi.monomials)}
-    # the component at mu of the image is the basis vector at mu + 1_i, so
-    # lowering[src] lists the (i, t) whose lift by x_i is monomial src
-    lowering: dict[int, list] = {}
-    for t, jc in enumerate(symbol(sys, order - 1).free_columns if lo_dim else ()):
-        for i in range(1, n + 1):
-            src = hi_cols.get(JetCoordinate(jc.k, tuple(e + (p == i - 1) for p, e in enumerate(jc.mu))))
-            if src is not None:
-                lowering.setdefault(src, []).append((i, t))
-    supports = [[] for _ in range(g_hi.dim)]
-    for src in lowering:
-        for b, v in g_hi.basis.sparse[src].items():
-            supports[b].append((src, v))
-    cod_index = {J: ci for ci, J in enumerate(_exterior_basis(n, s + 1))}
-    for I in _exterior_basis(n, s):
-        # row offset of the block J = I + {i}, and whether dx^i wedge dx^I = +dx^J
-        place = {}
-        for i in set(range(1, n + 1)).difference(I):
-            J = tuple(sorted(I + (i,)))
-            place[i] = (cod_index[J] * lo_dim, J.index(i) % 2 == 0)
-        for support in supports:
-            column = {}
-            for src, v in support:
-                for i, t in lowering[src]:
-                    if i in place:
-                        offset, positive = place[i]
-                        column[offset + t] = v if positive else -v
-            yield column
+    dim = symbol_dim(sys, order)
+    dom_index = {I: ci for ci, I in enumerate(itertools.combinations(range(1, n + 1), s))}
+    for J in itertools.combinations(range(1, n + 1), s + 1):
+        blocks = [(i - 1, dom_index[J[:p] + J[p + 1 :]] * dim, p % 2 == 0) for p, i in enumerate(J)]
+        for lift in lifts:
+            row = {}
+            for i, offset, positive in blocks:
+                for b, v in basis[lift[i]].items():
+                    row[offset + b] = v if positive else -v
+            yield row
 
 
 def delta_matrix(sys: LinearSystem, s: int, order: int) -> ExactMatrix:
     """Matrix of delta: Lambda^s (x) g_order -> Lambda^{s+1} (x) g_{order-1},
-    the sparse columns of :func:`_delta_columns` turned into sparse rows."""
-    rows = math.comb(sys.n, s + 1) * symbol_dim(sys, order - 1)
-    return ExactMatrix.from_rows(list(_delta_columns(sys, s, order)), rows, sys.params).transpose()
+    the :func:`_delta_rows` of the kernel basis of g_order."""
+    rows = list(_delta_rows(sys, s, order, symbol(sys, order).basis.sparse, _lifts(sys, order)))
+    return ExactMatrix.from_rows(rows, math.comb(sys.n, s) * symbol_dim(sys, order), sys.params)
+
+
+@memoised
+def _delta_basis(sys: LinearSystem, order: int):
+    """The basis of g_order over QQ, each vector times the lcm of its denominators
+    (which scales delta's columns, keeping ranks), as integer rows; its :func:`_lifts`."""
+    sparse, scale = symbol(sys, order).basis.sparse, [1] * symbol_dim(sys, order)
+    for row in sparse:
+        for b, v in row.items():
+            scale[b] = math.lcm(scale[b], v.denominator)
+    rows = [{b: v.numerator * (scale[b] // v.denominator) for b, v in row.items()} for row in sparse]
+    return rows, _lifts(sys, order)
 
 
 @memoised
 def _delta_rank(sys: LinearSystem, s: int, order: int) -> int:
-    """Rank of :func:`delta_matrix` at Lambda^s (x) g_order, over either field."""
-    return rank(delta_matrix(sys, s, order))
+    """Rank of :func:`delta_matrix` at Lambda^s (x) g_order over either field,
+    over QQ on the integer rows of :func:`_delta_basis`.  At s = 0 it is dim
+    g_order with no matrix (0 at order 0): delta w is the family of d_i w in
+    g_{order-1}, and if all vanish, order * w = sum_i x_i d_i w (Euler) is 0."""
+    if s == 0:
+        return symbol_dim(sys, order) if order >= 1 else 0
+    if sys.params:
+        return rank(delta_matrix(sys, s, order))
+    return len(pivot_columns(_delta_rows(sys, s, order, *_delta_basis(sys, order))))
 
 
 def cohomology(sys: LinearSystem, s: int, order: int) -> DeltaReport:
@@ -232,6 +237,8 @@ def janet_tableau(sys: LinearSystem, order: int, frame: CoordinateChange | None 
     rank: rank_k, the rank of the r rows p restricted to L_k = span(columns
     k..n of A).  Hence beta_k = rank_k - rank_{k+1}, with rank_1 = r and
     rank_{n+1} = 0; each rank is read off the frame's flag (:func:`_flag_rank`).
+    Once rank_k = C_k = m * #monomials of degree `order` on L_k, the rows map
+    onto those of L_k and of every L_k' in it: each later rank_k' is C_k'.
     """
     if frame is None:
         frame = CoordinateChange.identity(sys.n)
@@ -241,13 +248,22 @@ def janet_tableau(sys: LinearSystem, order: int, frame: CoordinateChange | None 
         if sys.params or frame.n != n:
             raise ValueError("a frame needs a rational system in as many variables")
         if 0 < g.dim < g.ambient:
-            result, columns = _symbol_rref(sys, order)
-            rows = [integer_row(v) for v in result.matrix.sparse[: len(result.pivots)]]
-            ranks = [len(rows), *(_flag_rank(rows, columns, m, order, basis) for basis in frame.flag), 0]
-            beta = [ranks[i] - ranks[i + 1] for i in range(n)]
+            rows, columns = _symbol_rows(sys, order)
+            ranks, size = [len(rows)], g.ambient
+            for basis in frame.flag:
+                onto, size = ranks[-1] == size, m * js.monomial_count(len(basis), order)
+                ranks.append(size if onto else _flag_rank(rows, columns, m, order, basis))
+            beta = [a - b for a, b in zip(ranks, ranks[1:] + [0])]
             return JanetTableau(order, tuple(beta), tuple(c - b for c, b in zip(counts, beta)), frame)
     alpha = [sum(js.class_of(jc.mu) == i for jc in g.free_columns) for i in range(1, n + 1)]
     return JanetTableau(order, tuple(c - a for c, a in zip(counts, alpha)), tuple(alpha), frame)
+
+
+@memoised
+def _symbol_rows(sys: LinearSystem, order: int):
+    """The identity-frame symbol RREF rows at `order` as integer rows, and its columns."""
+    result, columns = _symbol_rref(sys, order)
+    return [integer_row(v) for v in result.matrix.sparse[: len(result.pivots)]], columns
 
 
 def _flag_rank(rows, columns, m: int, degree: int, basis: tuple) -> int:

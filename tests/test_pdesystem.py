@@ -10,6 +10,7 @@ from formalpde import jetspace as js
 from formalpde.parser import parse
 from formalpde.pdesystem import (
     CoordinateChange,
+    Equation,
     LinearSystem,
     change_coordinates,
     companion_unknowns,
@@ -284,3 +285,19 @@ def test_equation_validation():
         LinearSystem(2, 1, [{(2, (1, 0)): F(1)}])
     with pytest.raises(ValueError, match="arity"):
         LinearSystem(2, 1, [{(1, (1, 0, 0)): F(1)}])
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_TEXTS))
+def test_equation_shift_matches_the_constructor(name):
+    # shift builds its terms directly; the constructor re-wraps every key
+    sys = parse(CORPUS_TEXTS[name]).system
+    for e in sys.equations:
+        before = dict(e.terms)
+        for nu in [(0,) * sys.n, *js.multi_indices(sys.n, 1), *js.multi_indices(sys.n, 2)]:
+            shifted = e.shift(nu)
+            expected = Equation({(jc.k, js.shift(jc.mu, nu)): c for jc, c in e.terms.items()})
+            assert shifted == expected and list(shifted.terms) == list(expected.terms)
+            assert all(type(jc) is js.JetCoordinate for jc in shifted.terms)
+            assert shifted.terms is not e.terms
+            shifted.terms.clear()
+            assert e.terms == before

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import BENCH_TEXTS, CORPUS_TEXTS, constant_coefficient_systems, make_system
+from conftest import BENCH_TEXTS, CORPUS_TEXTS, constant_coefficient_systems, killing_text, make_system
 from formalpde import jetspace as js
 from formalpde.parser import parse
 from formalpde.pdesystem import CoordinateChange, Equation, _symbol_rref, change_coordinates, symbol_matrix
 from formalpde.ratlinalg import rank
 from formalpde.spencer import (
+    _delta_rank,
     _frames,
     cohomology,
     curve_frame,
@@ -280,6 +281,57 @@ def test_memoised_delta_rank_matches_dense_matrix(name):
             assert sys._cache[("_delta_rank", s, order)] == rank(dense)
 
 
+def _check_delta_ranks(sys):
+    # the memoised rank (integer basis, and no matrix at s = 0) against the
+    # rank of the exact Fraction matrix, at every spot of the window where g != 0
+    for order in range(sys.order + stabilization_window(sys) + 1):
+        if not symbol_dim(sys, order):
+            continue
+        for s in range(sys.n):
+            expected = rank(delta_matrix(sys, s, order))
+            assert _delta_rank(sys, s, order) == expected, (s, order)
+            if s == 0:
+                assert expected == (symbol_dim(sys, order) if order else 0), order
+
+
+@settings(max_examples=40, deadline=None)
+@given(constant_coefficient_systems())
+def test_delta_rank_matches_the_exact_matrix_on_random_systems(sys):
+    _check_delta_ranks(sys)
+
+
+DELTA_TEXTS = {
+    **BENCH_TEXTS,
+    **{f"{'conformal_' * c}killing_{n}": killing_text(n, c) for n in (2, 3, 4) for c in (False, True)},
+    # a basis vector of g_2 with entries -1/2 and -1/3: its integer form needs the lcm 6
+    "mixed_denominators": "vars=3; eq: 2*y[3,3]-y[1,1]=0; eq: 3*y[2,3]-y[1,1]=0",
+}
+
+
+@pytest.mark.parametrize("name", list(DELTA_TEXTS))
+def test_delta_rank_matches_the_exact_matrix(name):
+    _check_delta_ranks(parse(DELTA_TEXTS[name]).system)
+
+
+def test_two_unknown_involution_ranks_delta_without_a_matrix(monkeypatch):
+    # the frame search fails and the delta-cohomology scan decides, on integer
+    # rows; the s = 0 ranks are the symbol dimensions, with no elimination
+    from formalpde import ratlinalg, spencer
+
+    sys = parse(BENCH_TEXTS["two-unknown"]).system
+    calls = []
+    _count_calls(monkeypatch, spencer, "delta_matrix", calls)
+    assert is_involutive_symbol(sys).certificate.method == "cohomology"
+    assert calls == []
+    fresh = parse(BENCH_TEXTS["two-unknown"]).system
+    orders = range(fresh.order + stabilization_window(fresh) + 1)
+    dims = [symbol_dim(fresh, o) for o in orders]
+    _count_calls(monkeypatch, spencer, "pivot_columns", calls)
+    _count_calls(monkeypatch, ratlinalg, "pivot_columns", calls)
+    assert [_delta_rank(fresh, 0, o) for o in orders] == [d if o else 0 for o, d in zip(orders, dims)]
+    assert calls == []
+
+
 def _count_calls(monkeypatch, module, name, calls):
     original = getattr(module, name)
 
@@ -298,8 +350,9 @@ def test_cohomology_again_runs_no_elimination(monkeypatch):
     first = [cohomology(sys, s, o) for s, o in spots]
     calls = []
     for module, name in (
-        (spencer, "_delta_columns"),
+        (spencer, "_delta_rows"),
         (ratlinalg, "pivot_columns"),
+        (spencer, "pivot_columns"),
         (spencer, "rank"),
         (pdesystem, "rref"),
     ):
@@ -319,7 +372,7 @@ def test_report_after_involution_test_builds_no_delta_map(name, monkeypatch):
     text = CORPUS_TEXTS[name]
     sys = parse(text).system
     calls = []
-    _count_calls(monkeypatch, spencer, "_delta_columns", calls)
+    _count_calls(monkeypatch, spencer, "_delta_rows", calls)
     completion = complete(sys)  # held, so the completed system and its memo persist
     final = completion.final_system
     assert is_involutive_symbol(final).certificate.method == "cohomology"
@@ -391,12 +444,16 @@ def test_frame_tableau_matches_changed_coordinates_on_random_systems(sys):
     _check_frame_tableaux(sys, _test_frames(sys.n, seeds=(0,))[-6:])
 
 
-@pytest.mark.parametrize("order, eliminated", [(2, 4), (4, 1)])
-def test_frame_tableau_eliminates_the_smaller_side(order, eliminated, monkeypatch):
+@pytest.mark.parametrize(
+    "order, eliminated, called", [pytest.param(2, 4, 3, id="2-4"), pytest.param(4, 1, 1, id="4-1")]
+)
+def test_frame_tableau_eliminates_the_smaller_side(order, eliminated, called, monkeypatch):
     # flagship: r = 4 equations and d = 6 at order 2, r = 34 and d = 1 at
     # order 4.  rank_k, the rank of the r rows on L_k, is capped at
     # min(r, C_k), C_k = #columns of class >= k, and is at least C_k - d, so
-    # the flag eliminations leave at most min(r, d) pivots per rank undecided
+    # the flag eliminations leave at most min(r, d) pivots per rank undecided.
+    # Once rank_k = C_k every later rank is its C_k' and is not eliminated:
+    # at order 4, rank_2 = 15 = C_2 fixes rank_3 = 5 and rank_4 = 1
     from math import comb
 
     from formalpde import spencer
@@ -425,8 +482,13 @@ def test_frame_tableau_eliminates_the_smaller_side(order, eliminated, monkeypatc
     beta = janet_tableau(sys, order, frame).beta
     assert beta == _pivot_classes(change_coordinates(sys, frame), order)
     sizes = [sys.m * comb(order + sys.n - k, order) for k in range(2, sys.n + 1)]
-    assert [cap for cap, _, _ in calls] == [min(r, c) for c in sizes]
-    assert [len(pivots) for _, pivots, _ in calls] == [sum(beta[k:]) for k in range(1, sys.n)]
+    ranks = [sum(beta[k:]) for k in range(1, sys.n)]
+    assert [cap for cap, _, _ in calls] == [min(r, c) for c in sizes[:called]]
+    assert [len(pivots) for _, pivots, _ in calls] == ranks[:called]
+    # the eliminations stop after the first rank that reaches its C_k, and
+    # each skipped rank is its C_k'
+    assert all(rank_k < size for rank_k, size in zip(ranks[: called - 1], sizes))
+    assert ranks[called:] == sizes[called:]
     for size, (cap, pivots, pulled) in zip(sizes, calls):
         assert len(set().union(*pulled)) <= sizes[0]
         assert cap - len(pivots) <= eliminated and size - d <= len(pivots)
