@@ -17,6 +17,7 @@ Two total orders matter:
 from __future__ import annotations
 
 import math
+from operator import add
 from typing import NamedTuple
 
 MultiIndex = tuple
@@ -57,7 +58,7 @@ def mu_from_digits(ds, n: int) -> MultiIndex:
 
 
 def shift(mu: MultiIndex, nu: MultiIndex) -> MultiIndex:
-    return tuple(a + b for a, b in zip(mu, nu))
+    return tuple(map(add, mu, nu))
 
 
 def monomial_count(n: int, q: int) -> int:

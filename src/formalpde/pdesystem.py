@@ -8,9 +8,10 @@ solution-space dimension per jet order.
 
 Prolongation, projection and the dimensions read one memoised elimination
 per (system, horizon): the RREF of the prolongation R_{q+r}, which holds
-every derivative of every equation up to order q + r.  Coordinate changes
-expand each monomial under the linear map with :func:`monomial_expander`,
-the expansion that the frame tableaux of :mod:`spencer` use as well.
+every derivative of every equation up to order q + r.  Symbol matrices are
+built on integer codes of the monomials and, over QQ, reduced once over the
+integers (:func:`_symbol_rref`).  Coordinate changes expand each monomial
+under the linear map with :func:`monomial_expander`, as frame tableaux do.
 
 Systems are treated as immutable; every operation returns a new value.
 """
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .ratlinalg import ExactMatrix, ParamScalar, _eliminate, rref
+from .ratlinalg import ExactMatrix, ParamScalar, _eliminate, integer_row, reduced_int, rref
 
 
 class Equation:
@@ -386,32 +387,40 @@ def first_order_companion(sys: LinearSystem) -> LinearSystem:
     return prolong(companion, 0)
 
 
-def symbol_equations(sys: LinearSystem, order: int) -> list[Equation]:
-    """Homogeneous top parts of all prolongations landing exactly at `order`."""
-    out = []
-    for e in sys.equations:
-        gap = order - e.order
-        if gap < 0:
-            continue
-        top = Equation(e.top_terms())
-        for nu in js.multi_indices(sys.n, gap):
-            out.append(top.shift(nu))
-    return out
+@functools.cache
+def _codes(n: int, degree: int, base: int) -> tuple[dict, dict]:
+    """{mu: code} and {code: position in solving order} of the multi-indices of
+    `degree`, the code of mu being sum_i mu_i B^(n-i), B = `base`: while every
+    exponent stays below B, the code of x^nu x^mu is the sum of the codes."""
+    codes = {mu: functools.reduce(lambda c, e: c * base + e, mu, 0) for mu in js.multi_indices(n, degree)}
+    return codes, {c: j for j, c in enumerate(codes.values())}
 
 
 def symbol_matrix(sys: LinearSystem, order: int):
-    """(matrix, columns) of the symbol equations at the given order."""
+    """(matrix, columns) of the homogeneous top parts of all prolongations
+    landing exactly at `order`, x^nu times each equation's top part: one code
+    sum and one lookup per term (:func:`_codes`, B = order + 1).  Over QQ each
+    top part is cleared of denominators once, so the rows are integer rows."""
     if order < 0:
         return ExactMatrix([], cols=0, params=sys.params), []
-    columns = js.jets_exact(sys.n, sys.m, order)
-    return equation_matrix(symbol_equations(sys, order), columns, sys.params), columns
+    n, m, base = sys.n, sys.m, order + 1
+    index, rows = _codes(n, order, base)[1], []
+    for e in sys.equations:
+        if (q := e.order) <= order:
+            top = e.top_terms() if sys.params else integer_row(e.top_terms())
+            terms = [(_codes(n, q, base)[0][jc.mu], jc.k - 1, c) for jc, c in top.items()]
+            for nu in _codes(n, order - q, base)[0].values():
+                rows.append({index[nu + u] * m + k: c for u, k, c in terms})
+    return ExactMatrix.from_rows(rows, len(index) * m, sys.params), js.jets_exact(n, m, order)
 
 
 @memoised
 def _symbol_rref(sys: LinearSystem, order: int):
-    """RREF of the symbol matrix at `order`, with its column list."""
+    """The symbol matrix at `order` eliminated once, with its column list:
+    over QQ its reduced integer rows {pivot: row} (:func:`reduced_int`), and
+    over QQ(chi) its RREF."""
     matrix, columns = symbol_matrix(sys, order)
-    return rref(matrix), columns
+    return (rref(matrix) if sys.params else reduced_int(matrix.sparse)), columns
 
 
 def stable_order(sys: LinearSystem) -> int:

@@ -12,7 +12,8 @@ callers build those rows straight from their own sparse data, and no module
 here reads the dense view `ExactMatrix.entries`.  Over QQ, rows are cleared
 of denominators and eliminated sparsely and fraction-free over the integers,
 each row kept primitive; that forward pass (:func:`pivot_columns`) is all a
-rank needs, and the RREF adds a sparse Gauss-Jordan back substitution.  Over
+rank needs, a sparse Gauss-Jordan back substitution gives the reduced rows
+(:func:`reduced_int`), and the RREF divides each by its pivot entry.  Over
 a function field, rows are cleared to polynomials with integer coefficients
 and eliminated row by row with fraction-free (Bareiss) steps whose divisions
 are exact; a rank is that forward pass, and the RREF adds a fraction-free
@@ -423,7 +424,8 @@ class RrefResult:
 
 
 class ExactMatrix:
-    """Rectangular matrix over QQ (params == 0) or QQ(chi_1..chi_s).
+    """Rectangular matrix over QQ (params == 0), with `int` or Fraction
+    entries, or over QQ(chi_1..chi_s).
 
     `sparse` holds the rows as dicts {column: nonzero entry}, a zero row being
     empty; it is the only storage and is never mutated.  The dense tuple
@@ -552,18 +554,24 @@ def pivot_columns(rows, cap: int | None = None) -> tuple[int, ...]:
     return tuple(sorted(_echelon_int(rows, cap)))
 
 
-def _rref_rational(matrix: ExactMatrix) -> tuple[list, list[int]]:
-    """Integer echelon form, back substitution from the last pivot up (rows
-    below are already reduced, so each step clears one column), then one
-    division per entry.  Zero rows stay, as one shared empty row."""
-    basis = _echelon_int(map(integer_row, matrix.sparse))
+def reduced_int(rows) -> dict[int, dict]:
+    """{pivot: primitive integer row, zero at every other pivot} in pivot order:
+    the integer echelon form, then back substitution from the last pivot up
+    (rows below are already reduced, so each step clears one column)."""
+    basis = _echelon_int(rows)
     pivots = sorted(basis)
     for p in reversed(pivots):
         for c in [c for c in basis[p] if c != p and c in basis]:
             basis[p] = _eliminate(basis[p], basis[c], c)
-    rows = [{c: Fraction(v, basis[p][p]) for c, v in sorted(basis[p].items())} for p in pivots]
-    rows.extend([{}] * (matrix.rows - len(pivots)))
-    return rows, pivots
+    return {p: basis[p] for p in pivots}
+
+
+def divided(reduced: dict, cols: int, rows: int = 0) -> RrefResult:
+    """The RREF over QQ of the :func:`reduced_int` rows, one division per
+    entry, with zero rows (one shared empty row) up to `rows` rows."""
+    out = [{c: Fraction(v, row[p]) for c, v in sorted(row.items())} for p, row in reduced.items()]
+    out.extend([{}] * (rows - len(out)))
+    return RrefResult(ExactMatrix.from_rows(out, cols), tuple(reduced))
 
 
 def _pmul(a: dict, b: dict) -> dict:
@@ -737,7 +745,9 @@ def rref(matrix: ExactMatrix) -> RrefResult:
     """Reduced row echelon form with deterministic pivoting."""
     if matrix.rows == 0:
         return RrefResult(matrix, ())
-    rows, pivots = (_rref_param if matrix.params else _rref_rational)(matrix)
+    if not matrix.params:
+        return divided(reduced_int(map(integer_row, matrix.sparse)), matrix.cols, matrix.rows)
+    rows, pivots = _rref_param(matrix)
     return RrefResult(ExactMatrix.from_rows(rows, matrix.cols, matrix.params), tuple(pivots))
 
 

@@ -21,9 +21,10 @@ record it as the system's seal (:func:`sealed_order`).  A scan's verdict is
 exact when the symbol is finite type or sealed, and window-limited otherwise.
 
 Symbols and frame tableaux are read off one memoised elimination per order,
-the identity-frame symbol RREF, by two exact rules: g_t = 0 once g_{t-1} = 0
+the reduced identity-frame symbol rows (integer rows over QQ, which also give
+the delta bases), by two exact rules: g_t = 0 once g_{t-1} = 0
 (:func:`symbol`), and in a frame A the pivots of class >= k number the rank
-of the RREF rows restricted to L_k = span(columns k..n of A), because the
+of those rows restricted to L_k = span(columns k..n of A), because the
 elimination columns run class-descending (:func:`janet_tableau`).
 """
 
@@ -33,12 +34,13 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
 from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, memoised, monomial_expander
-from .ratlinalg import ExactMatrix, integer_row, pivot_columns, rank
+from .ratlinalg import ExactMatrix, divided, pivot_columns, rank
 
 # random unimodular frames tried after the identity frame fails Cartan's test,
 # each made of FRAME_STEPS random row additions kept within [-FRAME_BOUND, FRAME_BOUND]
@@ -49,17 +51,23 @@ FRAME_STEPS = 12
 
 @dataclass(frozen=True)
 class SymbolSpace:
-    """Basis of g_order: kernel of the top-order equation matrix at `order`."""
+    """g_order, the kernel of the symbol matrix at `order`, read off the pivots of
+    one elimination; `kernel` builds `basis`, the exact kernel basis of
+    :meth:`RrefResult.kernel`, on first read (over QQ, only `delta_matrix` does)."""
 
     order: int
     ambient: int
-    basis: ExactMatrix
     monomials: tuple
     free_columns: tuple
+    kernel: Callable[[], ExactMatrix] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.free_columns)
+
+    @functools.cached_property
+    def basis(self) -> ExactMatrix:
+        return self.kernel()
 
 
 @dataclass(frozen=True)
@@ -123,16 +131,18 @@ class InvolutionResult:
 
 @memoised
 def symbol(sys: LinearSystem, order: int) -> SymbolSpace:
-    """g_order from the RREF of the symbol matrix, or empty with no elimination
+    """g_order from the pivots of :func:`_symbol_rref`, or empty with no elimination
     when the memo already holds g_{order-1} = 0: for v in g_order each d_i v
     satisfies the conditions defining g_{order-1}, so d_i v = 0 and v = 0."""
     if order >= 1 and ("symbol", order - 1) in sys._cache and symbol_dim(sys, order - 1) == 0:
         columns = tuple(js.jets_exact(sys.n, sys.m, order))
-        return SymbolSpace(order, len(columns), ExactMatrix.from_rows([{}] * len(columns), 0, sys.params), columns, ())
-    result, columns = _symbol_rref(sys, order)
-    pivot_set = set(result.pivots)
+        empty = functools.partial(ExactMatrix.from_rows, [{}] * len(columns), 0, sys.params)
+        return SymbolSpace(order, len(columns), columns, (), empty)
+    reduced, columns = _symbol_rref(sys, order)
+    pivot_set = set(reduced.pivots if sys.params else reduced)
+    kernel = reduced.kernel if sys.params else lambda: divided(reduced, len(columns)).kernel()
     free = tuple(columns[j] for j in range(len(columns)) if j not in pivot_set)
-    return SymbolSpace(order, len(columns), result.kernel(), tuple(columns), free)
+    return SymbolSpace(order, len(columns), tuple(columns), free, kernel)
 
 
 def symbol_dim(sys: LinearSystem, order: int) -> int:
@@ -184,13 +194,19 @@ def delta_matrix(sys: LinearSystem, s: int, order: int) -> ExactMatrix:
 
 @memoised
 def _delta_basis(sys: LinearSystem, order: int):
-    """The basis of g_order over QQ, each vector times the lcm of its denominators
-    (which scales delta's columns, keeping ranks), as integer rows; its :func:`_lifts`."""
-    sparse, scale = symbol(sys, order).basis.sparse, [1] * symbol_dim(sys, order)
-    for row in sparse:
-        for b, v in row.items():
-            scale[b] = math.lcm(scale[b], v.denominator)
-    rows = [{b: v.numerator * (scale[b] // v.denominator) for b, v in row.items()} for row in sparse]
+    """The kernel basis of g_order over QQ as integer rows, one per monomial,
+    each vector times the lcm of its denominators (which scales delta's
+    columns, keeping ranks); and its :func:`_lifts`.  The vector of free column
+    f is 1 at f and -r[f] / r[p] at the pivot p of each reduced integer row r."""
+    reduced, columns = _symbol_rref(sys, order)
+    position = {f: b for b, f in enumerate(c for c in range(len(columns)) if c not in reduced)}
+    scale = [1] * len(columns)
+    for p, row in reduced.items():
+        for f, v in row.items():
+            scale[f] = math.lcm(scale[f], abs(row[p]) // math.gcd(row[p], v))  # 1 at f = p
+    rows = [{position[c]: scale[c]} if c in position else {} for c in range(len(columns))]
+    for p, row in reduced.items():
+        rows[p] = {position[f]: -v * scale[f] // row[p] for f, v in row.items() if f != p}
     return rows, _lifts(sys, order)
 
 
@@ -248,22 +264,15 @@ def janet_tableau(sys: LinearSystem, order: int, frame: CoordinateChange | None 
         if sys.params or frame.n != n:
             raise ValueError("a frame needs a rational system in as many variables")
         if 0 < g.dim < g.ambient:
-            rows, columns = _symbol_rows(sys, order)
-            ranks, size = [len(rows)], g.ambient
+            reduced, columns = _symbol_rref(sys, order)
+            ranks, size = [len(reduced)], g.ambient
             for basis in frame.flag:
                 onto, size = ranks[-1] == size, m * js.monomial_count(len(basis), order)
-                ranks.append(size if onto else _flag_rank(rows, columns, m, order, basis))
+                ranks.append(size if onto else _flag_rank(reduced.values(), columns, m, order, basis))
             beta = [a - b for a, b in zip(ranks, ranks[1:] + [0])]
             return JanetTableau(order, tuple(beta), tuple(c - b for c, b in zip(counts, beta)), frame)
     alpha = [sum(js.class_of(jc.mu) == i for jc in g.free_columns) for i in range(1, n + 1)]
     return JanetTableau(order, tuple(c - a for c, a in zip(counts, alpha)), tuple(alpha), frame)
-
-
-@memoised
-def _symbol_rows(sys: LinearSystem, order: int):
-    """The identity-frame symbol RREF rows at `order` as integer rows, and its columns."""
-    result, columns = _symbol_rref(sys, order)
-    return [integer_row(v) for v in result.matrix.sparse[: len(result.pivots)]], columns
 
 
 def _flag_rank(rows, columns, m: int, degree: int, basis: tuple) -> int:

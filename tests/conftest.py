@@ -82,6 +82,32 @@ def killing_text(n: int, conformal: bool = False) -> str:
     return f"vars={n}; unknowns={n};\n" + "".join(f"eq: {row} = 0;\n" for row in rows)
 
 
+def symbol_oracle_systems() -> dict:
+    """Fresh systems for the symbol oracles: the corpus and bench texts, flat
+    Killing and conformal Killing (fractional coefficients) for n = 2-4, a
+    localized system over QQ(chi), and edge cases: one variable, an order-0
+    equation, two unknowns with fractional coefficients, pure powers, whose
+    exponent reaches the order, the largest digit of the monomial codes, and a
+    reduced row whose pivot entry 2 shares a factor with another of its entries."""
+    from formalpde.completion import complete
+    from formalpde.purity import localize
+
+    texts = {**CORPUS_TEXTS, **BENCH_TEXTS}
+    for n in range(2, 5):
+        texts[f"killing{n}"] = killing_text(n)
+        texts[f"conformal-killing{n}"] = killing_text(n, conformal=True)
+    systems = {name: parse(text).system for name, text in texts.items()}
+    systems["localized"] = localize(complete(systems["example4"]).final_system, 2).system
+    systems["n1"] = make_system(1, [("111", 1), ("1", -2)])
+    systems["order0"] = make_system(2, [("", 3)], [("12", 1), ("2", -1)])
+    systems["m2"] = make_system(
+        2, [(1, "11", Fraction(1, 2)), (2, "22", -3)], [(2, "12", Fraction(2, 3)), (1, "2", 1)], m=2
+    )
+    systems["pure_powers"] = make_system(3, [("333", 1)], [("11", 4), ("2", 1)], [("222", Fraction(5, 7))])
+    systems["pivot_gcd"] = make_system(2, [("22", 2), ("12", 2), ("11", 1)])
+    return systems
+
+
 @pytest.fixture
 def corpus_systems():
     # freshly parsed for every test, so no test sees the memo another left

@@ -384,3 +384,47 @@ def test_no_symbol_matrix_above_a_vanished_symbol(name, argv, top, tmp_path, cap
     assert main(["--report", "json"] + [a.format(f) for a in argv]) == EXIT_OK
     capsys.readouterr()
     assert top in orders and max(orders) == top
+
+
+def test_rational_symbols_build_no_fraction_kernel(tmp_path, capsys, monkeypatch):
+    # over QQ a symbol is built from shifted integer rows and reduced once over
+    # the integers; nothing on the hilbert path reads an exact kernel basis
+    import inspect
+
+    from formalpde import pdesystem, ratlinalg
+
+    calls = {"kernel": 0, "symbol rref": 0, "shift in symbol_matrix": 0}
+    inside = []
+    kernel, rref = ratlinalg.RrefResult.kernel, pdesystem.rref
+    build, shift = pdesystem.symbol_matrix, pdesystem.Equation.shift
+
+    def kernel_spy(result):
+        calls["kernel"] += 1
+        return kernel(result)
+
+    def rref_spy(matrix):
+        caller = inspect.currentframe().f_back
+        if caller.f_code.co_name == "_symbol_rref" and not caller.f_locals["sys"].params:
+            calls["symbol rref"] += 1
+        return rref(matrix)
+
+    def build_spy(sys, order):
+        inside.append(order)
+        try:
+            return build(sys, order)
+        finally:
+            inside.pop()
+
+    def shift_spy(equation, nu):
+        calls["shift in symbol_matrix"] += bool(inside)
+        return shift(equation, nu)
+
+    monkeypatch.setattr(ratlinalg.RrefResult, "kernel", kernel_spy)
+    monkeypatch.setattr(pdesystem, "rref", rref_spy)
+    monkeypatch.setattr(pdesystem, "symbol_matrix", build_spy)
+    monkeypatch.setattr(pdesystem.Equation, "shift", shift_spy)
+    f = tmp_path / "five-var.pde"
+    f.write_text(BENCH_TEXTS["five-var"], encoding="utf-8")
+    assert main(["--report", "json", "hilbert", "--file", str(f), "--trunc", "8"]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == {"kernel": 0, "symbol rref": 0, "shift in symbol_matrix": 0}

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import CORPUS_TEXTS, make_system
+from conftest import CORPUS_TEXTS, constant_coefficient_systems, make_system, symbol_oracle_systems
 from formalpde import jetspace as js
 from formalpde.parser import parse
 from formalpde.pdesystem import (
@@ -14,6 +15,7 @@ from formalpde.pdesystem import (
     LinearSystem,
     change_coordinates,
     companion_unknowns,
+    equation_matrix,
     first_order_companion,
     projected_system,
     prolong,
@@ -301,3 +303,42 @@ def test_equation_shift_matches_the_constructor(name):
             assert shifted.terms is not e.terms
             shifted.terms.clear()
             assert e.terms == before
+
+
+def _check_symbol_matrix_against_shifted_equations(sys, orders):
+    """symbol_matrix row for row against its first definition: x^nu times the
+    top part of each equation, built as `Equation(top).shift(nu)` and mapped
+    through `equation_matrix`; over QQ each row up to a positive scale."""
+    for order in orders:
+        columns = js.jets_exact(sys.n, sys.m, order)
+        shifted = [
+            Equation(e.top_terms()).shift(nu)
+            for e in sys.equations
+            if e.order <= order
+            for nu in js.multi_indices(sys.n, order - e.order)
+        ]
+        old = equation_matrix(shifted, columns, sys.params)
+        matrix, new_columns = symbol_matrix(sys, order)
+        assert list(new_columns) == columns and (matrix.rows, matrix.cols) == (old.rows, old.cols), order
+        for new_row, old_row in zip(matrix.sparse, old.sparse):
+            if sys.params:
+                assert new_row == old_row, order
+                continue
+            assert new_row.keys() == old_row.keys() and all(type(v) is int for v in new_row.values()), order
+            c = next(iter(old_row))
+            scale = new_row[c] / old_row[c]
+            assert scale > 0 and all(new_row[j] == scale * v for j, v in old_row.items()), order
+
+
+@pytest.mark.parametrize("name", list(symbol_oracle_systems()))
+def test_symbol_matrix_matches_the_shifted_top_parts(name):
+    sys = symbol_oracle_systems()[name]
+    _check_symbol_matrix_against_shifted_equations(sys, range(sys.order + 4))
+    matrix, columns = symbol_matrix(sys, -1)
+    assert (matrix.rows, matrix.cols, columns) == (0, 0, [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_coefficient_systems())
+def test_symbol_matrix_matches_the_shifted_top_parts_on_random_systems(sys):
+    _check_symbol_matrix_against_shifted_equations(sys, range(5))

@@ -1,16 +1,25 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import BENCH_TEXTS, CORPUS_TEXTS, constant_coefficient_systems, killing_text, make_system
+from conftest import (
+    BENCH_TEXTS,
+    CORPUS_TEXTS,
+    constant_coefficient_systems,
+    killing_text,
+    make_system,
+    symbol_oracle_systems,
+)
 from formalpde import jetspace as js
 from formalpde.parser import parse
 from formalpde.pdesystem import CoordinateChange, Equation, _symbol_rref, change_coordinates, symbol_matrix
-from formalpde.ratlinalg import rank
+from formalpde.ratlinalg import rank, rref
 from formalpde.spencer import (
+    _delta_basis,
     _delta_rank,
     _frames,
     cohomology,
@@ -408,9 +417,9 @@ def _power_expanded(sys, frame):
 
 def _pivot_classes(moved, order):
     """beta of the symbol RREF of the system in its new coordinates."""
-    result, columns = _symbol_rref(moved, order)
+    reduced, columns = _symbol_rref(moved, order)
     beta = [0] * moved.n
-    for p in result.pivots:
+    for p in reduced:  # the pivots of the reduced integer rows
         beta[js.class_of(columns[p].mu) - 1] += 1
     return tuple(beta)
 
@@ -544,3 +553,39 @@ def test_symbol_eliminates_no_lower_symbol(corpus_systems):
     sys = corpus_systems["example7"]
     assert symbol_dim(sys, 6) == 0
     assert [key for key in sys._cache if key[0] == "symbol"] == [("symbol", 6)]
+
+
+def _check_symbol_engine(sys, orders):
+    """Each symbol read off the one elimination against a fresh RREF of its
+    matrix: the basis is the RREF kernel; over QQ each reduced integer row
+    divided by its pivot entry is the RREF row, and the delta basis is the
+    kernel basis with each vector times the lcm of its denominators."""
+    for order in orders:
+        expected = rref(symbol_matrix(sys, order)[0])
+        kernel = expected.kernel()
+        assert symbol(sys, order).basis == kernel, order
+        if sys.params:
+            continue
+        reduced, _ = _symbol_rref(sys, order)
+        assert tuple(reduced) == expected.pivots, order
+        for (p, row), rref_row in zip(reduced.items(), expected.matrix.sparse):
+            assert all(type(v) is int for v in row.values())
+            assert {c: Fraction(v, row[p]) for c, v in row.items()} == rref_row, order
+        scale = [1] * kernel.cols
+        for row in kernel.sparse:
+            for b, v in row.items():
+                scale[b] = math.lcm(scale[b], v.denominator)
+        scaled = [{b: v.numerator * (scale[b] // v.denominator) for b, v in row.items()} for row in kernel.sparse]
+        assert _delta_basis(sys, order)[0] == scaled, order
+
+
+@pytest.mark.parametrize("name", list(symbol_oracle_systems()))
+def test_symbol_engine_matches_a_fresh_rref(name):
+    sys = symbol_oracle_systems()[name]
+    _check_symbol_engine(sys, range(sys.order + 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_coefficient_systems())
+def test_symbol_engine_matches_a_fresh_rref_on_random_systems(sys):
+    _check_symbol_engine(sys, range(5))
