@@ -16,6 +16,7 @@ Two total orders matter:
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import add
 from typing import NamedTuple
@@ -114,15 +115,21 @@ def display_key(jc: JetCoordinate):
 
 
 def jets_exact(n: int, m: int, q: int) -> list[JetCoordinate]:
-    """Jet coordinates of exact order q in solving order."""
-    return [JetCoordinate(k, mu) for mu in multi_indices(n, q) for k in range(1, m + 1)]
+    """Jet coordinates of exact order q in solving order, a new list of the
+    coordinates built once per (n, m, q)."""
+    return list(_jets_exact(n, m, q))
+
+
+@functools.cache
+def _jets_exact(n: int, m: int, q: int) -> tuple[JetCoordinate, ...]:
+    return tuple(JetCoordinate(k, mu) for mu in multi_indices(n, q) for k in range(1, m + 1))
 
 
 def jets_upto(n: int, m: int, q: int) -> list[JetCoordinate]:
     """Jet coordinates of order <= q as elimination columns (highest order first)."""
     out: list[JetCoordinate] = []
     for t in range(q, -1, -1):
-        out.extend(jets_exact(n, m, t))
+        out.extend(_jets_exact(n, m, t))
     return out
 
 

@@ -140,16 +140,41 @@ def memoised(fn):
     return cached
 
 
+def flag_levels(a):
+    """Reduced integer bases of L_n, L_{n-1}, ..., L_1, L_k = span(columns
+    k..n of the square matrix `a` of ints or Fractions), built lazily.
+
+    Each basis is a list of sparse vectors {coordinate: int}, each zero at the
+    pivot (largest) coordinates of the others.  The level of L_k is the one of
+    L_{k+1} and column k of `a`, cleared of denominators, reduced by it; a zero
+    remainder proves `a` singular and raises.
+    """
+    n = len(a)
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    vectors, pivots = [], []
+    for j in reversed(range(n)):
+        v = {i: a[i][j].numerator * (den // a[i][j].denominator) for i in range(n) if a[i][j]}
+        for b, p in zip(vectors, pivots):
+            if p in v:
+                v = _eliminate(v, b, p)
+        if not v:
+            raise ValueError("singular coordinate change")
+        p = max(v)
+        vectors = [_eliminate(b, v, p) if p in b else b for b in vectors]
+        vectors.append(v)
+        pivots.append(p)
+        yield vectors
+
+
 @dataclass(frozen=True)
 class CoordinateChange:
     """Invertible substitution d_i -> sum_j A[i][j] d_j of the independent variables.
 
-    `flag[k - 2]` lists a reduced integer basis of L_k = span(columns k..n of
-    A) for k = 2..n, as sparse vectors {coordinate: int}, each zero at the
-    pivot (largest) coordinates of the others.  It is built from column n
-    down, each column of A, cleared of denominators, reduced by the basis so
-    far; a zero remainder proves A singular.  L_1 is the whole space, so its
-    basis is reduced for that check only and not kept.
+    `flag[k - 2]` lists the reduced integer basis of L_k = span(columns k..n
+    of A) for k = 2..n, the :func:`flag_levels` of A, all of which are built
+    here, so A is checked nonsingular.  L_1 is the whole space, so its basis
+    is reduced for that check only and not kept.  A caller that needs only
+    the top levels (L_n first) reads :func:`flag_levels` itself.
     """
 
     matrix: tuple
@@ -158,24 +183,9 @@ class CoordinateChange:
     def __post_init__(self):
         a = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
         object.__setattr__(self, "matrix", a)
-        n = len(a)
-        if any(len(row) != n for row in a):
+        if any(len(row) != len(a) for row in a):
             raise ValueError("coordinate change must be square")
-        den = math.lcm(*(x.denominator for row in a for x in row))
-        columns = [{i: a[i][j].numerator * (den // a[i][j].denominator) for i in range(n) if a[i][j]} for j in range(n)]
-        vectors, pivots, flag = [], [], []
-        for v in reversed(columns):
-            for b, p in zip(vectors, pivots):
-                if p in v:
-                    v = _eliminate(v, b, p)
-            if not v:
-                raise ValueError("singular coordinate change")
-            p = max(v)
-            vectors = [_eliminate(b, v, p) if p in b else b for b in vectors]
-            vectors.append(v)
-            pivots.append(p)
-            flag.append(vectors)
-        object.__setattr__(self, "flag", tuple(reversed(flag[:-1])))
+        object.__setattr__(self, "flag", tuple(reversed(list(flag_levels(a))[:-1])))
 
     @classmethod
     @functools.cache

@@ -26,6 +26,16 @@ the delta bases), by two exact rules: g_t = 0 once g_{t-1} = 0
 (:func:`symbol`), and in a frame A the pivots of class >= k number the rank
 of those rows restricted to L_k = span(columns k..n of A), because the
 elimination columns run class-descending (:func:`janet_tableau`).
+
+The frame search keeps the tableau with beta[::-1] lexicographically largest,
+the most solved equations of the highest class, and prunes by that order
+(:func:`_outranks`).  With rank_k = sum_{i >= k} beta_i, two tableaux first
+differ at beta_k exactly where their ranks (rank_n, rank_{n-1}, ...) first
+differ, with the same sign, and rank_1 = r in every frame; so a random frame
+is compared with the best from L_n down, stopping at the first rank that
+differs, or once the best's rank_k is r: no rank exceeds r, and a frame with
+rank_k = r has rank r on every larger L_k', so it can at most tie.  Only a
+frame that wins becomes a :class:`CoordinateChange` with a full tableau.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from typing import Callable
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, memoised, monomial_expander
+from .pdesystem import CoordinateChange, LinearSystem, _symbol_rref, flag_levels, memoised, monomial_expander
 from .ratlinalg import ExactMatrix, divided, pivot_columns, rank
 
 # random unimodular frames tried after the identity frame fails Cartan's test,
@@ -258,21 +268,53 @@ def janet_tableau(sys: LinearSystem, order: int, frame: CoordinateChange | None 
     """
     if frame is None:
         frame = CoordinateChange.identity(sys.n)
-    g, n, m = symbol(sys, order), sys.n, sys.m
+    n, m = sys.n, sys.m
     counts = [m * js.class_count(n, order, i) for i in range(1, n + 1)]
-    if not frame.is_identity():
-        if sys.params or frame.n != n:
-            raise ValueError("a frame needs a rational system in as many variables")
-        if 0 < g.dim < g.ambient:
-            reduced, columns = _symbol_rref(sys, order)
-            ranks, size = [len(reduced)], g.ambient
-            for basis in frame.flag:
-                onto, size = ranks[-1] == size, m * js.monomial_count(len(basis), order)
-                ranks.append(size if onto else _flag_rank(reduced.values(), columns, m, order, basis))
-            beta = [a - b for a, b in zip(ranks, ranks[1:] + [0])]
-            return JanetTableau(order, tuple(beta), tuple(c - b for c, b in zip(counts, beta)), frame)
-    alpha = [sum(js.class_of(jc.mu) == i for jc in g.free_columns) for i in range(1, n + 1)]
+    if not frame.is_identity() and (rows := _frame_rows(sys, order, frame.n)):
+        reduced, columns = rows
+        ranks, size = [len(reduced)], len(columns)
+        for basis in frame.flag:
+            onto, size = ranks[-1] == size, m * js.monomial_count(len(basis), order)
+            ranks.append(size if onto else _flag_rank(reduced.values(), columns, m, order, basis))
+        beta = [a - b for a, b in zip(ranks, ranks[1:] + [0])]
+        return JanetTableau(order, tuple(beta), tuple(c - b for c, b in zip(counts, beta)), frame)
+    free = symbol(sys, order).free_columns
+    alpha = [sum(js.class_of(jc.mu) == i for jc in free) for i in range(1, n + 1)]
     return JanetTableau(order, tuple(c - a for c, a in zip(counts, alpha)), tuple(alpha), frame)
+
+
+def _frame_rows(sys: LinearSystem, order: int, n: int):
+    """(reduced integer symbol rows, columns) at `order`, which a frame of size
+    `n` ranks on its flag, or None when g_order is 0 or every jet: then every
+    frame has the identity's tableau."""
+    if sys.params or n != sys.n:
+        raise ValueError("a frame needs a rational system in as many variables")
+    g = symbol(sys, order)
+    return _symbol_rref(sys, order) if 0 < g.dim < g.ambient else None
+
+
+def _outranks(sys: LinearSystem, order: int, draw: tuple, beta: tuple) -> bool:
+    """Whether the frame of the integer matrix `draw` has a tableau at `order`
+    with beta[::-1] lexicographically above `beta[::-1]`, decided top-down.
+
+    rank_k = sum_{i >= k} beta_i is the rank of the symbol rows on L_k, and
+    rank_1 = r in every frame, so the order is that of (rank_n, ..., rank_2).
+    The ranks of `draw` are read from L_n (a line) down, on its lazy
+    :func:`flag_levels`, until one differs from that of `beta`; or until the
+    rank of `beta` is r, which no rank exceeds, and a frame that reaches it
+    keeps it on every larger L_k, so it can at most tie.
+    """
+    if (rows := _frame_rows(sys, order, len(draw))) is None:
+        return False
+    (reduced, columns), target = rows, 0
+    for k, basis in zip(range(sys.n, 1, -1), flag_levels(draw)):
+        target += beta[k - 1]
+        if target == len(reduced):
+            return False
+        rank_k = _flag_rank(reduced.values(), columns, sys.m, order, basis)
+        if rank_k != target:
+            return rank_k > target
+    return False
 
 
 def _flag_rank(rows, columns, m: int, degree: int, basis: tuple) -> int:
@@ -301,8 +343,10 @@ def _flag_rank(rows, columns, m: int, degree: int, basis: tuple) -> int:
     return len(pivot_columns(images(), min(len(rows), m * js.monomial_count(len(basis), degree))))
 
 
-def random_unimodular(n: int, rng: random.Random) -> CoordinateChange:
-    """Random determinant +-1 integer matrix with entries within [-FRAME_BOUND, FRAME_BOUND]."""
+def _unimodular_draw(n: int, rng: random.Random) -> tuple:
+    """Random integer matrix with entries within [-FRAME_BOUND, FRAME_BOUND],
+    of determinant +-1 by construction: each step adds +-1 times one row to
+    another, from the identity."""
     a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(FRAME_STEPS):
         i, j = rng.randrange(n), rng.randrange(n)
@@ -312,14 +356,20 @@ def random_unimodular(n: int, rng: random.Random) -> CoordinateChange:
         new_row = [a[i][t] + sgn * a[j][t] for t in range(n)]
         if all(abs(x) <= FRAME_BOUND for x in new_row):
             a[i] = new_row
-    return CoordinateChange(tuple(tuple(x for x in row) for row in a))
+    return tuple(map(tuple, a))
+
+
+def random_unimodular(n: int, rng: random.Random) -> CoordinateChange:
+    """The frame of one :func:`_unimodular_draw`."""
+    return CoordinateChange(_unimodular_draw(n, rng))
 
 
 @functools.lru_cache(maxsize=4)  # a run uses one seed and few variable counts
 def _frames(n: int, seed: int) -> tuple:
-    """The N_FRAMES random unimodular frames of the search, drawn once per (n, seed)."""
+    """The N_FRAMES random unimodular integer matrices of the search, drawn
+    once per (n, seed); the search builds the frame of a matrix only when it wins."""
     rng = random.Random(seed)
-    return tuple(random_unimodular(n, rng) for _ in range(N_FRAMES))
+    return tuple(_unimodular_draw(n, rng) for _ in range(N_FRAMES))
 
 
 def curve_frame(n: int) -> CoordinateChange:
@@ -399,22 +449,29 @@ def is_involutive_symbol(sys: LinearSystem, order: int | None = None, seed: int 
 
 @memoised
 def _involution_test(sys: LinearSystem, order: int, seed: int) -> InvolutionResult:
+    """The identity frame, then the random frames of `seed` until one attains
+    the Cartan count, each compared with the best tableau so far, which has the
+    most solved equations of the highest class (beta[::-1] lexicographically
+    largest, the first met among equals).  A tableau's Cartan sum is a function
+    of its beta, so only a frame that beats the best can attain the count:
+    :func:`_outranks` decides that on the fewest top ranks, and only a winner
+    becomes a :class:`CoordinateChange` with a full :func:`janet_tableau`.
+    `tried` counts the random frames, drawn only if the identity fails."""
     window = stabilization_window(sys)
     if order < 1 or not sys.equations:
         tableau = JanetTableau(order, (0,) * sys.n, (0,) * sys.n, CoordinateChange.identity(sys.n))
         cert = InvolutionCertificate("trivial", 0, symbol_dim(sys, order + 1), 0, window, ())
         return InvolutionResult(not sys.equations, tableau, cert)
     dim_next = symbol_dim(sys, order + 1)
-    best = None
-    # frame 0 is the identity, so `tried` counts the random frames, drawn only if it fails
-    for tried in range(N_FRAMES + 1):
-        frame = _frames(sys.n, seed)[tried - 1] if tried else CoordinateChange.identity(sys.n)
-        cand = janet_tableau(sys, order, frame)
-        if best is None or cand.beta[::-1] > best.beta[::-1]:  # most solved equations of the highest class
-            best = cand
-        if best.multiplicative_sum == dim_next:
-            cert = InvolutionCertificate("cartan", tried, dim_next, best.multiplicative_sum, window, ())
-            return InvolutionResult(True, best, cert)
+    best, tried = janet_tableau(sys, order), 0
+    while best.multiplicative_sum != dim_next and tried < N_FRAMES:
+        draw = _frames(sys.n, seed)[tried]
+        tried += 1
+        if _outranks(sys, order, draw, best.beta):
+            best = janet_tableau(sys, order, CoordinateChange(draw))
+    if best.multiplicative_sum == dim_next:
+        cert = InvolutionCertificate("cartan", tried, dim_next, best.multiplicative_sum, window, ())
+        return InvolutionResult(True, best, cert)
     reports, exact = acyclicity_scan(sys, sys.n, order, window)
     nonzero = tuple((r.s, r.order, r.dim_cohomology) for r in reports if r.dim_cohomology)
     if nonzero:

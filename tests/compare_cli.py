@@ -7,8 +7,9 @@ six-variable system that reaches the most high-order frame tableaux, the
 two-unknown system whose completion needs every derivative of the full
 prolongation (z1 = 0 forces z1_13 = 0 and so z2 = 0), and the flat Killing
 and conformal Killing systems for n = 2-5 (m = n unknowns, so their
-characteristic minors are n x n), plus `examples run all`.  Each
-run prints one line,
+characteristic minors are n x n), plus `examples run all`, and
+`involution --order o` on each system for o = q..q+2 (q its order), whose
+frame searches run above the input order.  Each run prints one line,
 
     <seed> <report mode> <command> <system> <sha256 of stdout, stderr, exit code>
 
@@ -38,6 +39,8 @@ sys.path.insert(0, str(TESTS))
 from conftest import BENCH_TEXTS, CORPUS_TEXTS, SIX_VAR_TEXT, killing_text  # noqa: E402
 from make_report_pins import COMMANDS, run_cli  # noqa: E402
 
+from formalpde.parser import parse  # noqa: E402
+
 HIDDEN_ZERO_TEXT = "vars=3; unknowns=2; eq: z2[1,1]=0; eq: z1[1,3]-z2[]=0; eq: z1[]=0\n"
 
 
@@ -48,10 +51,11 @@ def digests(seeds: list[int]):
         texts[f"killing{n}"] = killing_text(n)
         texts[f"conformal-killing{n}"] = killing_text(n, conformal=True)
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
+        paths, orders = {}, {}
         for name, text in texts.items():
             paths[name] = Path(tmp) / f"{name}.pde"
             paths[name].write_text(text, encoding="utf-8")
+            orders[name] = parse(text).system.order
         for seed in seeds:
             for mode in ("json", "text"):
                 flags = ["--seed", str(seed), "--report", mode]
@@ -59,6 +63,10 @@ def digests(seeds: list[int]):
                     for name, path in paths.items():
                         yield seed, mode, command, name, run_cli(flags + [a.format(file=path) for a in template])
                 yield seed, mode, "examples", "all", run_cli(flags + ["examples", "run", "all"])
+                for name, path in paths.items():
+                    for order in range(orders[name], orders[name] + 3):
+                        argv = flags + ["involution", "--order", str(order), str(path)]
+                        yield seed, mode, f"involution-order{order}", name, run_cli(argv)
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     BENCH_TEXTS,
@@ -16,12 +18,26 @@ from conftest import (
 )
 from formalpde import jetspace as js
 from formalpde.parser import parse
-from formalpde.pdesystem import CoordinateChange, Equation, _symbol_rref, change_coordinates, symbol_matrix
+from formalpde.pdesystem import (
+    CoordinateChange,
+    Equation,
+    _symbol_rref,
+    change_coordinates,
+    flag_levels,
+    symbol_matrix,
+)
 from formalpde.ratlinalg import rank, rref
 from formalpde.spencer import (
+    N_FRAMES,
+    InvolutionCertificate,
+    InvolutionResult,
+    JanetTableau,
     _delta_basis,
     _delta_rank,
+    _flag_rank,
     _frames,
+    _unimodular_draw,
+    acyclicity_scan,
     cohomology,
     curve_frame,
     delta_matrix,
@@ -430,7 +446,8 @@ def _test_frames(n, seeds=(0, 1)):
     half = [[Fraction(i == j) + Fraction(j == i + 1, 2) for j in range(n)] for i in range(n)]
     half[-1][0] += Fraction(2, 3)
     reverse = CoordinateChange.permutation(list(range(n, 0, -1)))
-    return [f for seed in seeds for f in _frames(n, seed)] + [reverse, CoordinateChange(half), curve_frame(n)]
+    drawn = [CoordinateChange(a) for seed in seeds for a in _frames(n, seed)]
+    return drawn + [reverse, CoordinateChange(half), curve_frame(n)]
 
 
 def _check_frame_tableaux(sys, frames):
@@ -487,7 +504,7 @@ def test_frame_tableau_eliminates_the_smaller_side(order, eliminated, called, mo
     r, d = g.ambient - g.dim, g.dim
     assert min(r, d) == eliminated
     monkeypatch.setattr(spencer, "pivot_columns", spy)
-    frame = _frames(sys.n, 0)[0]
+    frame = CoordinateChange(_frames(sys.n, 0)[0])
     beta = janet_tableau(sys, order, frame).beta
     assert beta == _pivot_classes(change_coordinates(sys, frame), order)
     sizes = [sys.m * comb(order + sys.n - k, order) for k in range(2, sys.n + 1)]
@@ -589,3 +606,168 @@ def test_symbol_engine_matches_a_fresh_rref(name):
 @given(constant_coefficient_systems())
 def test_symbol_engine_matches_a_fresh_rref_on_random_systems(sys):
     _check_symbol_engine(sys, range(5))
+
+
+def _exhaustive_involution_test(sys, order, seed):
+    """The frame search before pruning, kept as the reference: a full Janet
+    tableau in the identity and in every random frame, the best so far being
+    the first with beta[::-1] lexicographically largest."""
+    window = stabilization_window(sys)
+    if order < 1 or not sys.equations:
+        tableau = JanetTableau(order, (0,) * sys.n, (0,) * sys.n, CoordinateChange.identity(sys.n))
+        cert = InvolutionCertificate("trivial", 0, symbol_dim(sys, order + 1), 0, window, ())
+        return InvolutionResult(not sys.equations, tableau, cert)
+    dim_next = symbol_dim(sys, order + 1)
+    best = None
+    for tried in range(N_FRAMES + 1):
+        frame = CoordinateChange(_frames(sys.n, seed)[tried - 1]) if tried else CoordinateChange.identity(sys.n)
+        cand = janet_tableau(sys, order, frame)
+        if best is None or cand.beta[::-1] > best.beta[::-1]:
+            best = cand
+        if best.multiplicative_sum == dim_next:
+            cert = InvolutionCertificate("cartan", tried, dim_next, best.multiplicative_sum, window, ())
+            return InvolutionResult(True, best, cert)
+    reports, exact = acyclicity_scan(sys, sys.n, order, window)
+    nonzero = tuple((r.s, r.order, r.dim_cohomology) for r in reports if r.dim_cohomology)
+    limited = not nonzero and not exact
+    cert = InvolutionCertificate("cohomology", tried, dim_next, best.multiplicative_sum, window, nonzero, limited)
+    return InvolutionResult(not nonzero, best, cert)
+
+
+def _visited_results(sys, seed, test):
+    """`test(sys, order, seed)` at every order that involutive_order visits on
+    `sys`, in turn, then the message of the ValueError it ends with, if any."""
+    from unittest import mock
+
+    from formalpde import completion
+
+    results = []
+
+    def spy(visited, order, seed):
+        results.append(test(visited, order, seed))
+        return results[-1]
+
+    with mock.patch.object(completion, "is_involutive_symbol", spy):
+        try:
+            completion.involutive_order(sys, seed)
+        except ValueError as exc:
+            results.append(str(exc))
+    return results
+
+
+def _check_pruned_search(sys, seeds):
+    """The pruned search against the exhaustive one, each on a fresh copy of `sys`."""
+    results = []
+    for seed in seeds:
+        pruned = _visited_results(sys.replace(sys.equations), seed, is_involutive_symbol)
+        assert pruned == _visited_results(sys.replace(sys.equations), seed, _exhaustive_involution_test), seed
+        results += [r for r in pruned if isinstance(r, InvolutionResult)]
+    return results
+
+
+def test_pruned_frame_search_matches_the_exhaustive_search():
+    # beta, alpha, the frame matrix, frames_tried, the method and the nonzero
+    # cohomology of every result, at every order involutive_order visits
+    results = []
+    for name, sys in symbol_oracle_systems().items():
+        results += _check_pruned_search(sys, range(8))
+    identity = {CoordinateChange.identity(n) for n in range(1, 5)}
+    assert any(r.certificate.method == "cartan" and r.tableau.frame not in identity for r in results)
+    assert any(r.certificate.method == "cohomology" and r.tableau.frame not in identity for r in results)
+    assert any(r.certificate.frames_tried == N_FRAMES for r in results)
+
+
+@settings(max_examples=40, deadline=None)
+@given(constant_coefficient_systems(), st.integers(0, 7))
+def test_pruned_frame_search_matches_the_exhaustive_search_on_random_systems(sys, seed):
+    _check_pruned_search(sys, [seed])
+
+
+def test_frame_search_builds_and_ranks_only_frames_that_can_win(monkeypatch, tmp_path, capsys):
+    # involution on two-unknown at seed 0 tries all 25 random frames: a frame
+    # becomes a CoordinateChange only when it beats the best tableau so far,
+    # and its ranks are read from L_n down only until the comparison is
+    # decided, never on L_2 once it lost or tied for good at a higher level
+    from formalpde import pdesystem, spencer
+    from formalpde.cli import main
+
+    text = BENCH_TEXTS["two-unknown"]
+    sys = parse(text).system
+    n, order, draws = sys.n, sys.order, _frames(sys.n, 0)
+    r = len(_symbol_rref(sys, order)[0])
+    best, winners, ties, expected = janet_tableau(sys, order), [], [], {}
+    for draw in draws:
+        cand = janet_tableau(sys, order, CoordinateChange(draw))
+        if cand.beta[-1] == best.beta[-1] and cand.beta[::-1] <= best.beta[::-1]:
+            ties.append(draw)  # discarded, and equal to the best on L_n
+        levels = expected[draw] = []
+        for k in range(n, 1, -1):
+            target, rank_k = sum(best.beta[k - 1 :]), sum(cand.beta[k - 1 :])
+            if target == r:
+                break
+            levels.append(k)
+            if rank_k != target:
+                break
+        if cand.beta[::-1] > best.beta[::-1]:
+            best = cand
+            winners.append(draw)
+    assert 0 < len(winners) < len(draws) and is_involutive_symbol(sys).certificate.frames_tried == len(draws)
+    assert ties and all(2 not in expected[d] for d in draws if d not in winners) and any(expected[d] for d in draws)
+
+    built, levels, current = [], {}, [None]
+    post_init, outranks, flag_rank = CoordinateChange.__post_init__, spencer._outranks, spencer._flag_rank
+
+    def spy_post_init(self):
+        post_init(self)
+        built.append(self.matrix)
+
+    def spy_outranks(sys, order, draw, beta):
+        current[0] = draw
+        levels[draw] = []
+        try:
+            return outranks(sys, order, draw, beta)
+        finally:
+            current[0] = None
+
+    def spy_flag_rank(rows, columns, m, degree, basis):
+        if current[0] is not None:
+            levels[current[0]].append(n + 1 - len(basis))
+        return flag_rank(rows, columns, m, degree, basis)
+
+    monkeypatch.setattr(pdesystem.CoordinateChange, "__post_init__", spy_post_init)
+    monkeypatch.setattr(spencer, "_outranks", spy_outranks)
+    monkeypatch.setattr(spencer, "_flag_rank", spy_flag_rank)
+    path = tmp_path / "two-unknown.pde"
+    path.write_text(text, encoding="utf-8")
+    assert main(["--seed", "0", "--report", "json", "involution", str(path)]) == 0
+    assert '"frames_tried": 25' in capsys.readouterr().out
+    assert [a for a in built if a in draws] == winners
+    assert levels == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(constant_coefficient_systems(), st.integers(0, 7))
+def test_flag_rank_matches_sympy_on_random_systems(sys, seed):
+    # rank of the symbol rows with x = sum_s t_s b_s substituted, over each
+    # level of the flag of a random frame and of A(2), as a sympy matrix of
+    # the coefficients of t^e in each unknown
+    sympy = pytest.importorskip("sympy")
+    draw = _unimodular_draw(sys.n, random.Random(seed))
+    for order in range(1, 4):
+        reduced, columns = _symbol_rref(sys, order)
+        for matrix in (draw, curve_frame(sys.n).matrix):
+            for basis in flag_levels(matrix):
+                t = sympy.symbols(f"t0:{len(basis)}")
+                x = [sum(b.get(i, 0) * ts for b, ts in zip(basis, t)) for i in range(sys.n)]
+                entries = []
+                for row in reduced.values():
+                    parts = [0] * sys.m
+                    for c, v in row.items():
+                        jc = columns[c]
+                        parts[jc.k - 1] += v * sympy.Mul(*(x[i] ** e for i, e in enumerate(jc.mu)))
+                    polys = [sympy.Poly(sympy.expand(p), *t) for p in parts]
+                    entries.append({(k, e): w for k, p in enumerate(polys) for e, w in p.terms() if w})
+                keys = sorted(set().union(*entries))
+                expected = sympy.Matrix([[e.get(key, 0) for key in keys] for e in entries]).rank() if keys else 0
+                got = _flag_rank(reduced.values(), columns, sys.m, order, tuple(basis))
+                assert got == expected, (order, matrix, basis)
