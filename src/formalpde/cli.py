@@ -215,12 +215,12 @@ def cmd_involution(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    if not args.file and not (args.vars and args.degrees):
+    if args.file is None and (args.vars is None or args.degrees is None):
         print("hilbert needs --file or both --vars and --degrees", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    doc = _load(args.file)[1] if args.file else None
+    doc = _load(args.file)[1] if args.file is not None else None
     series = None
-    if args.degrees:
+    if args.degrees is not None:
         n = doc.system.n if doc is not None else args.vars
         try:
             series = principal_class_series([int(d) for d in args.degrees.split(",")], n, args.trunc)
@@ -297,8 +297,7 @@ def cmd_examples(args) -> int:
     try:
         results = corpus_mod.run_corpus(names)
     except KeyError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        raise UsageError(exc.args[0]) from None
     failed = False
     payload = []
     for res in results:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jetspace as js
@@ -170,22 +170,19 @@ def flag_levels(a):
 class CoordinateChange:
     """Invertible substitution d_i -> sum_j A[i][j] d_j of the independent variables.
 
-    `flag[k - 2]` lists the reduced integer basis of L_k = span(columns k..n
-    of A) for k = 2..n, the :func:`flag_levels` of A, all of which are built
-    here, so A is checked nonsingular.  L_1 is the whole space, so its basis
-    is reduced for that check only and not kept.  A caller that needs only
-    the top levels (L_n first) reads :func:`flag_levels` itself.
+    A is checked nonsingular by draining its :func:`flag_levels`, which frame
+    tableaux read lazily, L_n first.
     """
 
     matrix: tuple
-    flag: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
         object.__setattr__(self, "matrix", a)
         if any(len(row) != len(a) for row in a):
             raise ValueError("coordinate change must be square")
-        object.__setattr__(self, "flag", tuple(reversed(list(flag_levels(a))[:-1])))
+        for _ in flag_levels(a):
+            pass
 
     @classmethod
     @functools.cache

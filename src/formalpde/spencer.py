@@ -23,19 +23,25 @@ exact when the symbol is finite type or sealed, and window-limited otherwise.
 Symbols and frame tableaux are read off one memoised elimination per order,
 the reduced identity-frame symbol rows (integer rows over QQ, which also give
 the delta bases), by two exact rules: g_t = 0 once g_{t-1} = 0
-(:func:`symbol`), and in a frame A the pivots of class >= k number the rank
-of those rows restricted to L_k = span(columns k..n of A), because the
-elimination columns run class-descending (:func:`janet_tableau`).
+(:func:`symbol`), and in a frame A the pivots of class >= k number rank_k,
+the rank of those r rows restricted to L_k = span(columns k..n of A)
+(:func:`janet_tableau`).  One lazy walk reads rank_n, ..., rank_1 from L_n
+(a line) down (:func:`_flag_ranks`).  With d = dim g_order and C_k = m *
+#monomials of degree `order` on L_k, rank_k lies between max(rank_{k+1},
+C_k - d) and min(r, C_k), and is eliminated only where these differ: once a
+rank is r so is every later one, g = 0 gives C_k, and rank_1 = r.
 
-The frame search keeps the tableau with beta[::-1] lexicographically largest,
-the most solved equations of the highest class, and prunes by that order
-(:func:`_outranks`).  With rank_k = sum_{i >= k} beta_i, two tableaux first
-differ at beta_k exactly where their ranks (rank_n, rank_{n-1}, ...) first
-differ, with the same sign, and rank_1 = r in every frame; so a random frame
-is compared with the best from L_n down, stopping at the first rank that
-differs, or once the best's rank_k is r: no rank exceeds r, and a frame with
-rank_k = r has rank r on every larger L_k', so it can at most tie.  Only a
-frame that wins becomes a :class:`CoordinateChange` with a full tableau.
+One frame search serves the seal (the identity, then A(2)) and the
+involution certificate (the identity, then the random frames): it keeps the
+tableau with beta[::-1] lexicographically largest, the first met among
+equals, until one attains the Cartan count, a function of beta
+(:func:`_frame_search`).  As rank_k = sum_{i >= k} beta_i, a frame's walk is
+compared with the best's ranks from L_n down until a rank differs, or until
+the best's is r, past which the frame can only tie; only a winner finishes
+its walk and becomes a :class:`CoordinateChange`.  A frame that attains the
+count is delta-regular, its ranks the generic maxima on every L_k (Seiler
+2010, *Involution*), so it outranks an identity that fails: the seal needs
+A(2)'s full tableau only when A(2) wins.
 """
 
 from __future__ import annotations
@@ -257,64 +263,44 @@ def janet_tableau(sys: LinearSystem, order: int, frame: CoordinateChange | None 
     """Per-class counts of the pivots (beta) and free columns (alpha) of the
     symbol RREF at `order` in `frame`, from the identity-frame symbol.
 
-    In a frame A the symbol rows are the identity RREF rows p(x) carried to
-    p(Ax), and the columns run class-descending, so the pivots of class >= k
-    lie in the leading columns, the monomials in x_k..x_n, and number their
-    rank: rank_k, the rank of the r rows p restricted to L_k = span(columns
-    k..n of A).  Hence beta_k = rank_k - rank_{k+1}, with rank_1 = r and
-    rank_{n+1} = 0; each rank is read off the frame's flag (:func:`_flag_rank`).
-    Once rank_k = C_k = m * #monomials of degree `order` on L_k, the rows map
-    onto those of L_k and of every L_k' in it: each later rank_k' is C_k'.
+    The columns run class-descending, so the pivots of class >= k lie in the
+    leading columns, the monomials in x_k..x_n, and number rank_k: the
+    columns of class >= k less the free ones in the identity frame, and in a
+    frame A, which carries the identity RREF rows p(x) to p(Ax), the rank of
+    the r rows p restricted to L_k (:func:`_flag_ranks`).  Hence beta_k =
+    rank_k - rank_{k+1}.  An order-0 jet has no class: order 0 takes the
+    identity's counts in every frame.
     """
-    if frame is None:
-        frame = CoordinateChange.identity(sys.n)
-    n, m = sys.n, sys.m
-    counts = [m * js.class_count(n, order, i) for i in range(1, n + 1)]
-    if not frame.is_identity() and (rows := _frame_rows(sys, order, frame.n)):
-        reduced, columns = rows
-        ranks, size = [len(reduced)], len(columns)
-        for basis in frame.flag:
-            onto, size = ranks[-1] == size, m * js.monomial_count(len(basis), order)
-            ranks.append(size if onto else _flag_rank(reduced.values(), columns, m, order, basis))
-        beta = [a - b for a, b in zip(ranks, ranks[1:] + [0])]
-        return JanetTableau(order, tuple(beta), tuple(c - b for c, b in zip(counts, beta)), frame)
-    free = symbol(sys, order).free_columns
-    alpha = [sum(js.class_of(jc.mu) == i for jc in free) for i in range(1, n + 1)]
-    return JanetTableau(order, tuple(c - a for c, a in zip(counts, alpha)), tuple(alpha), frame)
+    if frame is not None and not frame.is_identity() and order > 0:
+        return _tableau(sys, order, list(_flag_ranks(sys, order, frame.matrix)), frame)
+    classes = [js.class_of(jc.mu) for jc in symbol(sys, order).free_columns]
+    pivots = [sys.m * js.class_count(sys.n, order, i) - classes.count(i) for i in range(sys.n, 0, -1)]
+    return _tableau(sys, order, list(itertools.accumulate(pivots)), frame or CoordinateChange.identity(sys.n))
 
 
-def _frame_rows(sys: LinearSystem, order: int, n: int):
-    """(reduced integer symbol rows, columns) at `order`, which a frame of size
-    `n` ranks on its flag, or None when g_order is 0 or every jet: then every
-    frame has the identity's tableau."""
-    if sys.params or n != sys.n:
+def _tableau(sys: LinearSystem, order: int, ranks: list, frame: CoordinateChange) -> JanetTableau:
+    """The tableau of `frame` from its ranks rank_n, ..., rank_1."""
+    beta = [b - a for a, b in itertools.pairwise([0, *ranks])][::-1]
+    counts = [sys.m * js.class_count(sys.n, order, i) for i in range(1, sys.n + 1)]
+    return JanetTableau(order, tuple(beta), tuple(c - b for c, b in zip(counts, beta)), frame)
+
+
+def _flag_ranks(sys: LinearSystem, order: int, a):
+    """rank_n, rank_{n-1}, ..., rank_1 of the r symbol rows at `order` on the
+    :func:`flag_levels` L_k of the square matrix `a`, computed lazily.  rank_k
+    lies between max(rank_{k+1}, C_k - d) and min(r, C_k), d = dim g_order,
+    and :func:`_flag_rank` runs only where these bounds differ."""
+    if sys.params or len(a) != sys.n:
         raise ValueError("a frame needs a rational system in as many variables")
-    g = symbol(sys, order)
-    return _symbol_rref(sys, order) if 0 < g.dim < g.ambient else None
-
-
-def _outranks(sys: LinearSystem, order: int, draw: tuple, beta: tuple) -> bool:
-    """Whether the frame of the integer matrix `draw` has a tableau at `order`
-    with beta[::-1] lexicographically above `beta[::-1]`, decided top-down.
-
-    rank_k = sum_{i >= k} beta_i is the rank of the symbol rows on L_k, and
-    rank_1 = r in every frame, so the order is that of (rank_n, ..., rank_2).
-    The ranks of `draw` are read from L_n (a line) down, on its lazy
-    :func:`flag_levels`, until one differs from that of `beta`; or until the
-    rank of `beta` is r, which no rank exceeds, and a frame that reaches it
-    keeps it on every larger L_k, so it can at most tie.
-    """
-    if (rows := _frame_rows(sys, order, len(draw))) is None:
-        return False
-    (reduced, columns), target = rows, 0
-    for k, basis in zip(range(sys.n, 1, -1), flag_levels(draw)):
-        target += beta[k - 1]
-        if target == len(reduced):
-            return False
-        rank_k = _flag_rank(reduced.values(), columns, sys.m, order, basis)
-        if rank_k != target:
-            return rank_k > target
-    return False
+    g, rank_k = symbol(sys, order), 0
+    d, r = g.dim, g.ambient - g.dim
+    for basis in flag_levels(a):
+        size = sys.m * js.monomial_count(len(basis), order)
+        rank_k = max(rank_k, size - d)
+        if rank_k < min(r, size):
+            reduced, columns = _symbol_rref(sys, order)
+            rank_k = _flag_rank(reduced.values(), columns, sys.m, order, basis)
+        yield rank_k
 
 
 def _flag_rank(rows, columns, m: int, degree: int, basis: tuple) -> int:
@@ -359,11 +345,6 @@ def _unimodular_draw(n: int, rng: random.Random) -> tuple:
     return tuple(map(tuple, a))
 
 
-def random_unimodular(n: int, rng: random.Random) -> CoordinateChange:
-    """The frame of one :func:`_unimodular_draw`."""
-    return CoordinateChange(_unimodular_draw(n, rng))
-
-
 @functools.lru_cache(maxsize=4)  # a run uses one seed and few variable counts
 def _frames(n: int, seed: int) -> tuple:
     """The N_FRAMES random unimodular integer matrices of the search, drawn
@@ -372,6 +353,7 @@ def _frames(n: int, seed: int) -> tuple:
     return tuple(_unimodular_draw(n, rng) for _ in range(N_FRAMES))
 
 
+@functools.cache
 def curve_frame(n: int) -> CoordinateChange:
     """A(2): upper unitriangular, the k-th pair i < j in row order (k = 1, 2, ...)
     has A[i][j] = 2^k."""
@@ -381,16 +363,38 @@ def curve_frame(n: int) -> CoordinateChange:
     return CoordinateChange(tuple(map(tuple, a)))
 
 
+def _frame_search(sys: LinearSystem, order: int, draws) -> tuple:
+    """(best, tried): from the identity frame's tableau at `order`, the best
+    over the matrices of `draws`, read until the best attains the Cartan
+    count; `tried` counts the matrices read."""
+    dim_next = symbol_dim(sys, order + 1)
+    best, tried = janet_tableau(sys, order), 0
+    r = sum(best.beta)  # rank_1 in every frame
+    targets = [t for t in itertools.accumulate(reversed(best.beta)) if t < r]  # the best's ranks below r
+    for draw in draws:
+        if best.multiplicative_sum == dim_next:
+            break
+        tried += 1
+        walk, ranks = _flag_ranks(sys, order, draw), []
+        for target, rank_k in zip(targets, walk):
+            ranks.append(rank_k)
+            if rank_k != target:
+                break
+        if ranks > targets[: len(ranks)]:
+            ranks += walk
+            best, targets = _tableau(sys, order, ranks, CoordinateChange(draw)), [t for t in ranks if t < r]
+    return best, tried
+
+
 @memoised
 def _passes_cartan(sys: LinearSystem, order: int) -> bool:
-    """Cartan's test at `order` in the identity frame or A(2); a system over
-    QQ(chi) takes the identity only.  True certifies g_order involutive.
+    """Cartan's test at `order` by the :func:`_frame_search` over A(2); a
+    system over QQ(chi) takes the identity only.  True certifies g_order involutive.
     An order-0 jet has no class, so order 0 is never certified."""
     if order < 1:
         return False
-    dim_next = symbol_dim(sys, order + 1)
-    frames = [None] if sys.params else [None, curve_frame(sys.n)]
-    return any(janet_tableau(sys, order, frame).multiplicative_sum == dim_next for frame in frames)
+    best, _ = _frame_search(sys, order, () if sys.params else (curve_frame(sys.n).matrix,))
+    return best.multiplicative_sum == symbol_dim(sys, order + 1)
 
 
 def sealed_order(sys: LinearSystem) -> int | None:
@@ -449,26 +453,15 @@ def is_involutive_symbol(sys: LinearSystem, order: int | None = None, seed: int 
 
 @memoised
 def _involution_test(sys: LinearSystem, order: int, seed: int) -> InvolutionResult:
-    """The identity frame, then the random frames of `seed` until one attains
-    the Cartan count, each compared with the best tableau so far, which has the
-    most solved equations of the highest class (beta[::-1] lexicographically
-    largest, the first met among equals).  A tableau's Cartan sum is a function
-    of its beta, so only a frame that beats the best can attain the count:
-    :func:`_outranks` decides that on the fewest top ranks, and only a winner
-    becomes a :class:`CoordinateChange` with a full :func:`janet_tableau`.
-    `tried` counts the random frames, drawn only if the identity fails."""
+    """Cartan's test by the :func:`_frame_search` over the random frames of
+    `seed`, none read if the identity passes; failing that, the delta-cohomology."""
     window = stabilization_window(sys)
     if order < 1 or not sys.equations:
         tableau = JanetTableau(order, (0,) * sys.n, (0,) * sys.n, CoordinateChange.identity(sys.n))
         cert = InvolutionCertificate("trivial", 0, symbol_dim(sys, order + 1), 0, window, ())
         return InvolutionResult(not sys.equations, tableau, cert)
     dim_next = symbol_dim(sys, order + 1)
-    best, tried = janet_tableau(sys, order), 0
-    while best.multiplicative_sum != dim_next and tried < N_FRAMES:
-        draw = _frames(sys.n, seed)[tried]
-        tried += 1
-        if _outranks(sys, order, draw, best.beta):
-            best = janet_tableau(sys, order, CoordinateChange(draw))
+    best, tried = _frame_search(sys, order, _frames(sys.n, seed))
     if best.multiplicative_sum == dim_next:
         cert = InvolutionCertificate("cartan", tried, dim_next, best.multiplicative_sum, window, ())
         return InvolutionResult(True, best, cert)

@@ -72,6 +72,7 @@ def test_cli_examples_single_entry(capsys):
 
 def test_cli_examples_unknown_name(capsys):
     assert main(["examples", "run", "nosuch"]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err == "usage error: unknown corpus entry 'nosuch'\n"
 
 
 def test_cli_examples_mismatch_exit_code(capsys, monkeypatch):
@@ -230,6 +231,8 @@ def test_report_bytes_do_not_depend_on_the_memo(name):
         ["involution", "--order", "-1", "{valid}"],
         ["examples", "list", "nosuch"],
         ["hilbert", "--file", "{valid}", "--vars", "7"],
+        ["hilbert", "--vars", "0", "--degrees", "1"],
+        ["hilbert", "--vars", "2", "--degrees", ""],
     ],
     ids=[
         "zero-denominator",
@@ -248,6 +251,8 @@ def test_report_bytes_do_not_depend_on_the_memo(name):
         "involution-negative-order",
         "examples-list-name",
         "hilbert-file-and-vars",
+        "hilbert-zero-vars",
+        "hilbert-empty-degrees",
     ],
 )
 def test_cli_input_error_exit_code(argv, tmp_path, capsys):
@@ -260,6 +265,20 @@ def test_cli_input_error_exit_code(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--vars", "0", "--degrees", "1"], "invalid --degrees '1': rank exceeds variable count"),
+        (["--vars", "2", "--degrees", ""], "invalid --degrees '': invalid literal for int() with base 10: ''"),
+    ],
+    ids=["zero-vars", "empty-degrees"],
+)
+def test_cli_hilbert_reports_the_degree_error_when_both_options_are_given(argv, message, capsys):
+    # a given option counts even when its value is false: 0 variables, no degrees
+    assert main(["hilbert", *argv]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err == message + "\n"
 
 
 @pytest.mark.parametrize(

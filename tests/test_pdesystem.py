@@ -17,6 +17,7 @@ from formalpde.pdesystem import (
     companion_unknowns,
     equation_matrix,
     first_order_companion,
+    flag_levels,
     projected_system,
     prolong,
     slice_at,
@@ -24,7 +25,7 @@ from formalpde.pdesystem import (
     symbol_matrix,
 )
 from formalpde.ratlinalg import ExactMatrix, rank
-from formalpde.spencer import curve_frame, random_unimodular
+from formalpde.spencer import _unimodular_draw, curve_frame
 
 F = Fraction
 
@@ -147,13 +148,14 @@ def test_change_coordinates_rejects_singular(rows):
 def test_coordinate_change_flag_is_a_reduced_basis_of_the_trailing_columns():
     rng = random.Random(0)
     half = [[F(i == j) + F(j == i + 1, 2) for j in range(4)] for i in range(4)]
-    frames = [random_unimodular(4, rng) for _ in range(10)] + [curve_frame(4), CoordinateChange(half)]
+    frames = [CoordinateChange(_unimodular_draw(4, rng)) for _ in range(10)] + [curve_frame(4), CoordinateChange(half)]
     for frame in frames:
         n = frame.n
-        assert len(frame.flag) == n - 1
-        for k in range(2, n + 1):
+        levels = [list(basis) for basis in flag_levels(frame.matrix)]
+        assert len(levels) == n
+        for k in range(1, n + 1):
             columns = [[row[j] for row in frame.matrix] for j in range(k - 1, n)]
-            basis = frame.flag[k - 2]
+            basis = levels[n - k]
             assert all(isinstance(x, int) for b in basis for x in b.values())
             vectors = [[b.get(i, 0) for i in range(n)] for b in basis]
             assert len(basis) == n - k + 1 == rank(ExactMatrix(columns)) == rank(ExactMatrix(columns + vectors))
@@ -171,7 +173,8 @@ def test_change_coordinates_matches_sympy_expansion():
         sys = parse(text).system
         d = sympy.symbols(f"d1:{sys.n + 1}")
         half = [[F(i == j) + F(j == i + 1, 2) for j in range(sys.n)] for i in range(sys.n)]
-        frames = [random_unimodular(sys.n, rng) for _ in range(3)] + [curve_frame(sys.n), CoordinateChange(half)]
+        drawn = [CoordinateChange(_unimodular_draw(sys.n, rng)) for _ in range(3)]
+        frames = drawn + [curve_frame(sys.n), CoordinateChange(half)]
         for frame in frames:
             images = [sum(sympy.Rational(str(x)) * dj for x, dj in zip(row, d)) for row in frame.matrix]
             moved = change_coordinates(sys, frame)
@@ -266,7 +269,7 @@ def test_change_of_coordinates_preserves_dimensions(corpus_systems):
     for name in ("example3", "example7", "example5_rprime"):
         sys = corpus_systems[name]
         for _ in range(5):
-            frame = random_unimodular(sys.n, rng)
+            frame = CoordinateChange(_unimodular_draw(sys.n, rng))
             moved = change_coordinates(sys, frame)
             for r in range(sys.order + 2):
                 assert slice_at(moved, r).dimension == slice_at(sys, r).dimension

@@ -35,7 +35,9 @@ from formalpde.spencer import (
     _delta_basis,
     _delta_rank,
     _flag_rank,
+    _flag_ranks,
     _frames,
+    _passes_cartan,
     _unimodular_draw,
     acyclicity_scan,
     cohomology,
@@ -471,15 +473,16 @@ def test_frame_tableau_matches_changed_coordinates_on_random_systems(sys):
 
 
 @pytest.mark.parametrize(
-    "order, eliminated, called", [pytest.param(2, 4, 3, id="2-4"), pytest.param(4, 1, 1, id="4-1")]
+    "order, eliminated, called", [pytest.param(2, 4, 3, id="2-4"), pytest.param(4, 1, 3, id="4-1")]
 )
 def test_frame_tableau_eliminates_the_smaller_side(order, eliminated, called, monkeypatch):
     # flagship: r = 4 equations and d = 6 at order 2, r = 34 and d = 1 at
     # order 4.  rank_k, the rank of the r rows on L_k, is capped at
-    # min(r, C_k), C_k = #columns of class >= k, and is at least C_k - d, so
-    # the flag eliminations leave at most min(r, d) pivots per rank undecided.
-    # Once rank_k = C_k every later rank is its C_k' and is not eliminated:
-    # at order 4, rank_2 = 15 = C_2 fixes rank_3 = 5 and rank_4 = 1
+    # min(r, C_k), C_k = #columns of class >= k, and is at least
+    # max(rank_{k+1}, C_k - d), so the flag eliminations leave at most
+    # min(r, d) pivots per rank undecided.  The walk runs from L_n down and
+    # eliminates exactly the levels whose bounds differ: at order 4 (d = 1)
+    # each of L_4, L_3 and L_2 leaves one pivot open, and rank_1 = r is decided
     from math import comb
 
     from formalpde import spencer
@@ -507,19 +510,90 @@ def test_frame_tableau_eliminates_the_smaller_side(order, eliminated, called, mo
     frame = CoordinateChange(_frames(sys.n, 0)[0])
     beta = janet_tableau(sys, order, frame).beta
     assert beta == _pivot_classes(change_coordinates(sys, frame), order)
-    sizes = [sys.m * comb(order + sys.n - k, order) for k in range(2, sys.n + 1)]
-    ranks = [sum(beta[k:]) for k in range(1, sys.n)]
-    assert [cap for cap, _, _ in calls] == [min(r, c) for c in sizes[:called]]
-    assert [len(pivots) for _, pivots, _ in calls] == ranks[:called]
-    # the eliminations stop after the first rank that reaches its C_k, and
-    # each skipped rank is its C_k'
-    assert all(rank_k < size for rank_k, size in zip(ranks[: called - 1], sizes))
-    assert ranks[called:] == sizes[called:]
-    for size, (cap, pivots, pulled) in zip(sizes, calls):
-        assert len(set().union(*pulled)) <= sizes[0]
-        assert cap - len(pivots) <= eliminated and size - d <= len(pivots)
+    # rank_k and C_k from L_n down to L_1, and the levels the bounds leave open
+    sizes = [sys.m * comb(order + sys.n - k, order) for k in range(sys.n, 0, -1)]
+    ranks = [sum(beta[k - 1 :]) for k in range(sys.n, 0, -1)]
+    low = [max(above, size - d) for above, size in zip([0, *ranks], sizes)]
+    high = [min(r, size) for size in sizes]
+    open_levels = [i for i in range(sys.n) if low[i] < high[i]]
+    assert len(open_levels) == called
+    assert [cap for cap, _, _ in calls] == [high[i] for i in open_levels]
+    assert [len(pivots) for _, pivots, _ in calls] == [ranks[i] for i in open_levels]
+    # each skipped rank is its bound
+    assert all(ranks[i] == low[i] == high[i] for i in range(sys.n) if i not in open_levels)
+    for i, (cap, pivots, pulled) in zip(open_levels, calls):
+        assert len(set().union(*pulled)) <= sizes[i]
+        assert cap - len(pivots) <= eliminated and sizes[i] - d <= len(pivots)
         if len(pivots) == cap:
             assert len(forward(pulled[:-1])) < cap  # no row is read past the cap
+
+
+def _check_flag_ranks(sys, frames, orders):
+    """The lazy walk against :func:`_flag_rank` on every level of each frame,
+    L_n first, with no level left to the bounds; and the walk eliminates on
+    exactly the levels where max(rank_{k+1}, C_k - d) < min(r, C_k)."""
+    from unittest import mock
+
+    from formalpde import spencer
+
+    for order in orders:
+        reduced, columns = _symbol_rref(sys, order)
+        g = symbol(sys, order)
+        for frame in frames:
+            levels = [tuple(basis) for basis in flag_levels(frame.matrix)]
+            expected = [_flag_rank(reduced.values(), columns, sys.m, order, basis) for basis in levels]
+            with mock.patch.object(spencer, "_flag_rank", wraps=_flag_rank) as spy:
+                assert list(_flag_ranks(sys, order, frame.matrix)) == expected, (order, frame)
+            sizes = [sys.m * js.monomial_count(len(basis), order) for basis in levels]
+            bounds = zip([0, *expected], sizes)
+            assert spy.call_count == sum(max(above, c - g.dim) < min(g.ambient - g.dim, c) for above, c in bounds)
+
+
+def _reference_passes_cartan(sys, order):
+    """The seal's rule before the shared search, kept as the reference: the
+    identity or the full A(2) tableau (over QQ only) attains dim g_{order+1},
+    the A(2) tableau read off a fresh elimination in A(2)'s coordinates."""
+    dim_next = symbol_dim(sys, order + 1)
+    if janet_tableau(sys, order).multiplicative_sum == dim_next:
+        return True
+    if sys.params:
+        return False
+    beta = _pivot_classes(change_coordinates(sys, curve_frame(sys.n)), order)
+    counts = [sys.m * js.class_count(sys.n, order, i) for i in range(1, sys.n + 1)]
+    return sum(i * (c - b) for i, (c, b) in enumerate(zip(counts, beta), start=1)) == dim_next
+
+
+def _check_seal_rule(sys, orders):
+    fresh = sys.replace(sys.equations)  # no memo shared with the reference
+    for order in orders:
+        assert _passes_cartan(fresh, order) == _reference_passes_cartan(sys, order), order
+
+
+@pytest.mark.parametrize("name", list(symbol_oracle_systems()))
+def test_flag_ranks_and_seal_match_unskipped_ranks_and_the_full_a2_tableau(name):
+    sys = symbol_oracle_systems()[name]
+    orders = range(1, sys.order + 4)
+    if not sys.params:
+        _check_flag_ranks(sys, _test_frames(sys.n), orders)
+    _check_seal_rule(sys, orders)
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_coefficient_systems())
+def test_flag_ranks_and_seal_match_unskipped_ranks_and_the_full_a2_tableau_on_random_systems(sys):
+    orders = range(1, sys.order + 4)
+    _check_flag_ranks(sys, _test_frames(sys.n, seeds=(0,))[-6:], orders)
+    _check_seal_rule(sys, orders)
+
+
+def test_frame_tableau_at_order_zero_takes_the_identity_counts():
+    # an order-0 jet has no class: with g_0 = 0 every frame has the identity's
+    # all-zero tableau, and the walk's constant columns are not counted
+    sys = symbol_oracle_systems()["order0"]
+    assert symbol_dim(sys, 0) == 0
+    for frame in _test_frames(sys.n, seeds=(0,))[-4:]:
+        tableau = janet_tableau(sys, 0, frame)
+        assert (tableau.beta, tableau.alpha, tableau.frame) == ((0, 0), (0, 0), frame)
 
 
 def test_frame_tableau_rejects_parametric_systems_and_wrong_sizes():
@@ -687,20 +761,24 @@ def test_frame_search_builds_and_ranks_only_frames_that_can_win(monkeypatch, tmp
     # involution on two-unknown at seed 0 tries all 25 random frames: a frame
     # becomes a CoordinateChange only when it beats the best tableau so far,
     # and its ranks are read from L_n down only until the comparison is
-    # decided, never on L_2 once it lost or tied for good at a higher level
+    # decided, never on L_2 once it lost or tied for good at a higher level,
+    # and never on a level whose bounds decide its rank; a winner then
+    # finishes its walk
     from formalpde import pdesystem, spencer
     from formalpde.cli import main
 
     text = BENCH_TEXTS["two-unknown"]
     sys = parse(text).system
     n, order, draws = sys.n, sys.order, _frames(sys.n, 0)
-    r = len(_symbol_rref(sys, order)[0])
+    g = symbol(sys, order)
+    r, d = g.ambient - g.dim, g.dim
+    sizes = {k: sys.m * js.monomial_count(n - k + 1, order) for k in range(1, n + 1)}
     best, winners, ties, expected = janet_tableau(sys, order), [], [], {}
     for draw in draws:
         cand = janet_tableau(sys, order, CoordinateChange(draw))
         if cand.beta[-1] == best.beta[-1] and cand.beta[::-1] <= best.beta[::-1]:
             ties.append(draw)  # discarded, and equal to the best on L_n
-        levels = expected[draw] = []
+        levels = []
         for k in range(n, 1, -1):
             target, rank_k = sum(best.beta[k - 1 :]), sum(cand.beta[k - 1 :])
             if target == r:
@@ -708,26 +786,34 @@ def test_frame_search_builds_and_ranks_only_frames_that_can_win(monkeypatch, tmp
             levels.append(k)
             if rank_k != target:
                 break
-        if cand.beta[::-1] > best.beta[::-1]:
+        won = cand.beta[::-1] > best.beta[::-1]
+        if won:
+            levels += range(levels[-1] - 1, 0, -1)
             best = cand
             winners.append(draw)
+        assert won or 2 not in levels
+        ranks = {k: sum(cand.beta[k - 1 :]) for k in range(1, n + 2)}
+        expected[draw] = [k for k in levels if max(ranks[k + 1], sizes[k] - d) < min(r, sizes[k])]
     assert 0 < len(winners) < len(draws) and is_involutive_symbol(sys).certificate.frames_tried == len(draws)
-    assert ties and all(2 not in expected[d] for d in draws if d not in winners) and any(expected[d] for d in draws)
+    assert ties and any(expected[d] for d in draws)
 
     built, levels, current = [], {}, [None]
-    post_init, outranks, flag_rank = CoordinateChange.__post_init__, spencer._outranks, spencer._flag_rank
+    post_init, flag_ranks, flag_rank = CoordinateChange.__post_init__, spencer._flag_ranks, spencer._flag_rank
 
     def spy_post_init(self):
         post_init(self)
         built.append(self.matrix)
 
-    def spy_outranks(sys, order, draw, beta):
-        current[0] = draw
-        levels[draw] = []
-        try:
-            return outranks(sys, order, draw, beta)
-        finally:
+    def spy_flag_ranks(sys, order, a):
+        levels[a] = []
+        walk = flag_ranks(sys, order, a)
+        while True:
+            current[0] = a
+            rank_k = next(walk, None)
             current[0] = None
+            if rank_k is None:
+                return
+            yield rank_k
 
     def spy_flag_rank(rows, columns, m, degree, basis):
         if current[0] is not None:
@@ -735,14 +821,14 @@ def test_frame_search_builds_and_ranks_only_frames_that_can_win(monkeypatch, tmp
         return flag_rank(rows, columns, m, degree, basis)
 
     monkeypatch.setattr(pdesystem.CoordinateChange, "__post_init__", spy_post_init)
-    monkeypatch.setattr(spencer, "_outranks", spy_outranks)
+    monkeypatch.setattr(spencer, "_flag_ranks", spy_flag_ranks)
     monkeypatch.setattr(spencer, "_flag_rank", spy_flag_rank)
     path = tmp_path / "two-unknown.pde"
     path.write_text(text, encoding="utf-8")
     assert main(["--seed", "0", "--report", "json", "involution", str(path)]) == 0
     assert '"frames_tried": 25' in capsys.readouterr().out
     assert [a for a in built if a in draws] == winners
-    assert levels == expected
+    assert {a: ks for a, ks in levels.items() if a in draws} == expected
 
 
 @settings(max_examples=25, deadline=None)
