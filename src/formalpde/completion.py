@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import jetspace as js
 from .pdesystem import LinearSystem, _full_rref, memoised, projected_system, slice_at
-from .ratlinalg import Poly
+from .ratlinalg import Poly, field_zero
 from .spencer import is_involutive_symbol, is_s_acyclic, stabilization_window
 
 MAX_STEPS = 10  # one-step projections tried before the completion gives up
@@ -57,7 +57,7 @@ def _gained_equations(old: LinearSystem, new: LinearSystem) -> tuple:
     base, columns = _full_rref(old, max(old.order, new.order))
     pivot_rows = dict(zip(base.pivots, base.matrix.sparse))
     index = {jc: j for j, jc in enumerate(columns)}
-    zero, gained = old.zero(), []
+    zero, gained = field_zero(old.params), []
     for e in new.equations:
         vec = {index[jc]: c for jc, c in e.terms.items()}
         # a pivot row is zero at every other pivot, so one pass reduces vec

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import jetspace as js
 from .jetspace import JetCoordinate
 from .pdesystem import LinearSystem, _full_rref, memoised, stable_order
-from .ratlinalg import ExactMatrix, ParamScalar, rank, rref
+from .ratlinalg import ExactMatrix, ParamScalar, field_one, rank, rref
 
 SPENCER_SIGN_NOTE = "Spencer operator taken with Macaulay's sign: (d_i f)_mu = f_{mu+1_i}"
 
@@ -149,7 +149,7 @@ def residue_map(sys: LinearSystem, order: int):
     result, columns = _full_rref(sys, order)
     free = sorted(set(range(len(columns))).difference(result.pivots), key=lambda j: js.display_key(columns[j]))
     place = {j: t for t, j in enumerate(free)}
-    residues = {columns[j]: {t: sys.one()} for j, t in place.items()}
+    residues = {columns[j]: {t: field_one(sys.params)} for j, t in place.items()}
     for p, row in zip(result.pivots, result.matrix.sparse):
         residues[columns[p]] = {place[j]: -v for j, v in row.items() if j != p}
     return residues, [columns[j] for j in free]
@@ -207,7 +207,7 @@ def derivative_closure_dimension(sys: LinearSystem, seed_jets) -> int:
     mats, basis_jets = multiplication_matrices(sys)
     width = len(basis_jets)
     index = {jc: t for t, jc in enumerate(basis_jets)}
-    vectors = [{index[jc]: sys.one()} for jc in seed_jets]
+    vectors = [{index[jc]: field_one(sys.params)} for jc in seed_jets]
     current = rank(ExactMatrix.from_rows(vectors, width, sys.params))
     frontier = list(vectors)
     while frontier:

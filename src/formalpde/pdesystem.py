@@ -9,9 +9,10 @@ solution-space dimension per jet order.
 Prolongation, projection and the dimensions read one memoised elimination
 per (system, horizon): the RREF of the prolongation R_{q+r}, which holds
 every derivative of every equation up to order q + r.  Symbol matrices are
-built on integer codes of the monomials and, over QQ, reduced once over the
-integers (:func:`_symbol_rref`).  Coordinate changes expand each monomial
-under the linear map with :func:`monomial_expander`, as frame tableaux do.
+built on integer codes of the monomials and reduced once, to rows that are
+multiples of the RREF rows over either field (:func:`_symbol_rref`).
+Coordinate changes expand each monomial under the linear map with
+:func:`monomial_expander`, as frame tableaux do.
 
 Systems are treated as immutable; every operation returns a new value.
 """
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .ratlinalg import ExactMatrix, ParamScalar, _eliminate, integer_row, reduced_int, rref
+from .ratlinalg import ExactMatrix, _eliminate, integer_row, reduced_int, reduced_param, rref
 
 
 class Equation:
@@ -106,12 +107,6 @@ class LinearSystem:
     @property
     def order(self) -> int:
         return max((e.order for e in self.equations), default=0)
-
-    def zero(self):
-        return ParamScalar.zero(self.params) if self.params else Fraction(0)
-
-    def one(self):
-        return ParamScalar.one(self.params) if self.params else Fraction(1)
 
     def replace(self, equations) -> "LinearSystem":
         return LinearSystem(self.n, self.m, equations, params=self.params, var_offset=self.var_offset)
@@ -424,10 +419,10 @@ def symbol_matrix(sys: LinearSystem, order: int):
 @memoised
 def _symbol_rref(sys: LinearSystem, order: int):
     """The symbol matrix at `order` eliminated once, with its column list:
-    over QQ its reduced integer rows {pivot: row} (:func:`reduced_int`), and
-    over QQ(chi) its RREF."""
+    its reduced rows {pivot: row}, each a multiple of its RREF row, over QQ
+    (:func:`reduced_int`) or over QQ(chi) (:func:`reduced_param`)."""
     matrix, columns = symbol_matrix(sys, order)
-    return (rref(matrix) if sys.params else reduced_int(matrix.sparse)), columns
+    return (reduced_param if sys.params else reduced_int)(matrix.sparse), columns
 
 
 def stable_order(sys: LinearSystem) -> int:

@@ -9,17 +9,19 @@ unique, so the pivot order cannot change it.
 
 A matrix is stored as sparse rows {column: nonzero entry} and nothing else;
 callers build those rows straight from their own sparse data, and no module
-here reads the dense view `ExactMatrix.entries`.  Over QQ, rows are cleared
-of denominators and eliminated sparsely and fraction-free over the integers,
-each row kept primitive; that forward pass (:func:`pivot_columns`) is all a
-rank needs, a sparse Gauss-Jordan back substitution gives the reduced rows
-(:func:`reduced_int`), and the RREF divides each by its pivot entry.  Over
-a function field, rows are cleared to polynomials with integer coefficients
-and eliminated row by row with fraction-free (Bareiss) steps whose divisions
-are exact; a rank is that forward pass, and the RREF adds a fraction-free
-back substitution on the pivot rows and one field division per entry.  So
-ranks over parameters are certified symbolically; no probabilistic shortcut
-is taken.
+here reads the dense view `ExactMatrix.entries`.  Both fields reduce first
+and divide last.  Over QQ, rows are cleared of denominators and eliminated
+sparsely and fraction-free over the integers, each row kept primitive; that
+forward pass (:func:`pivot_columns`) is all a rank needs, and a sparse
+Gauss-Jordan back substitution gives the reduced rows (:func:`reduced_int`).
+Over a function field, rows are cleared to polynomials with integer
+coefficients and eliminated row by row with fraction-free (Bareiss) steps
+whose divisions are exact; a rank is that forward pass, and a fraction-free
+back substitution on the pivot rows gives the reduced rows
+(:func:`reduced_param`).  Either way the reduced rows {pivot: row} are
+multiples of the RREF rows, and :func:`divided` turns them into the RREF,
+one field division per entry.  So ranks over parameters are certified
+symbolically; no probabilistic shortcut is taken.
 """
 
 from __future__ import annotations
@@ -139,23 +141,18 @@ class Poly:
         return Poly(self.nvars, {e: v / c for e, v in self.terms.items()})
 
     def div_exact(self, other: "Poly") -> "Poly":
-        """Exact division; raises ValueError when `other` does not divide."""
+        """Exact division; raises ValueError when `other` does not divide.
+
+        By Gauss's lemma the primitive parts divide over ZZ (:func:`_pdiv`);
+        the quotient is scaled to the ratio of the leading coefficients."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         if not self:
             return Poly.zero(self.nvars)
-        rem = self
-        quot: dict = {}
-        le, lc = other.leading()
-        while rem:
-            re, rc = rem.leading()
-            qe = tuple(a - b for a, b in zip(re, le))
-            if any(x < 0 for x in qe):
-                raise ValueError("inexact polynomial division")
-            qc = rc / lc
-            quot[qe] = quot.get(qe, Fraction(0)) + qc
-            rem = rem - Poly(self.nvars, {qe: qc}) * other
-        return Poly(self.nvars, quot)
+        a, b = ({e: c.numerator for e, c in p.primitive().terms.items()} for p in (self, other))
+        quot = _pdiv(a, b)
+        scale = self.leading()[1] / other.leading()[1] / quot[max(quot)]
+        return Poly(self.nvars, {e: c * scale for e, c in quot.items()})
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         total = Fraction(0)
@@ -400,6 +397,16 @@ class ParamScalar:
 Entry = Union[Fraction, ParamScalar]
 
 
+def field_zero(params: int = 0) -> Entry:
+    """0 of QQ (params 0) or of QQ(chi_1..chi_params)."""
+    return ParamScalar.zero(params) if params else Fraction(0)
+
+
+def field_one(params: int = 0) -> Entry:
+    """1 of QQ (params 0) or of QQ(chi_1..chi_params)."""
+    return ParamScalar.one(params) if params else Fraction(1)
+
+
 @dataclass(frozen=True)
 class RrefResult:
     matrix: "ExactMatrix"
@@ -416,7 +423,7 @@ class RrefResult:
         m = self.matrix
         pivot_set = set(self.pivots)
         position = {f: b for b, f in enumerate(c for c in range(m.cols) if c not in pivot_set)}
-        one = m.one()
+        one = field_one(m.params)
         rows = [{position[c]: one} if c in position else {} for c in range(m.cols)]
         for p, row in zip(self.pivots, m.sparse):
             rows[p] = {position[c]: -v for c, v in row.items() if c != p}
@@ -460,15 +467,9 @@ class ExactMatrix:
     @property
     def entries(self) -> tuple:
         if self._entries is None:
-            zero = self.zero()
+            zero = field_zero(self.params)
             self._entries = tuple(tuple(row.get(c, zero) for c in range(self.cols)) for row in self.sparse)
         return self._entries
-
-    def zero(self) -> Entry:
-        return ParamScalar.zero(self.params) if self.params else Fraction(0)
-
-    def one(self) -> Entry:
-        return ParamScalar.one(self.params) if self.params else Fraction(1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -566,14 +567,6 @@ def reduced_int(rows) -> dict[int, dict]:
     return {p: basis[p] for p in pivots}
 
 
-def divided(reduced: dict, cols: int, rows: int = 0) -> RrefResult:
-    """The RREF over QQ of the :func:`reduced_int` rows, one division per
-    entry, with zero rows (one shared empty row) up to `rows` rows."""
-    out = [{c: Fraction(v, row[p]) for c, v in sorted(row.items())} for p, row in reduced.items()]
-    out.extend([{}] * (rows - len(out)))
-    return RrefResult(ExactMatrix.from_rows(out, cols), tuple(reduced))
-
-
 def _pmul(a: dict, b: dict) -> dict:
     """Product of two polynomials {exponent tuple: nonzero coefficient}."""
     if len(a) > len(b):
@@ -619,14 +612,15 @@ def _pdiv(a: dict, b: dict) -> dict:
     """Exact quotient a / b of integer polynomials, by leading terms in lex order."""
     if len(b) == 1:
         ((eb, cb),) = b.items()
-        if cb == 1 and not any(eb):
+        shifted = any(eb)
+        if cb == 1 and not shifted:
             return a
         out = {}
         for e, c in a.items():
             q, r = divmod(c, cb)
-            if any(eb):
+            if shifted:
                 e = tuple(map(sub, e, eb))
-            if r or min(e) < 0:
+            if r or shifted and min(e) < 0:
                 raise ValueError("inexact polynomial division")
             out[e] = q
         return out
@@ -712,16 +706,17 @@ def _echelon_param(rows) -> list[tuple[int, dict]]:
     return basis
 
 
-def _rref_param(matrix: ExactMatrix) -> tuple[list[dict], list[int]]:
-    """Integer-polynomial echelon form, then fraction-free back substitution
-    on the pivot rows only, each entry divided once by the last pivot, the
-    determinant d of the pivot minor.  Zero rows stay, as one shared empty row.
-
-    From the last basis row up, G_i = (d*B_i - sum_{j>i} B_i[c_j]*G_j) / p_i,
-    exact since G_i, d times RREF row i, holds cofactors of that minor."""
-    basis = _echelon_param(map(integer_poly_row, matrix.sparse))
+def reduced_param(rows) -> dict[int, dict]:
+    """The twin of :func:`reduced_int` over QQ(chi): {pivot: G_i} in pivot
+    order for the sparse ParamScalar rows, cleared to integer polynomials,
+    where G_i is d times RREF row i, d the determinant of the pivot minor, so
+    every pivot entry is d.  The integer-polynomial echelon form, then
+    fraction-free back substitution on the pivot rows only: from the last
+    basis row up, G_i = (d*B_i - sum_{j>i} B_i[c_j]*G_j) / p_i, exact since
+    G_i holds cofactors of that minor."""
+    basis = _echelon_param(map(integer_poly_row, rows))
     if not basis:
-        return [{}] * matrix.rows, []
+        return {}
     *rest, (c, last) = basis
     det = last[c]
     reduced = {c: last}
@@ -731,24 +726,33 @@ def _rref_param(matrix: ExactMatrix) -> tuple[list[dict], list[int]]:
             if cj in b:
                 row = _combine(None, row, b[cj], g)
         reduced[c] = {x: _pdiv(t, b[c]) for x, t in row.items()}
-    s = matrix.params
-    den, one = Poly(s, det), ParamScalar.one(s)
-    rows = [
-        {x: one if x == c else ParamScalar(Poly(s, t), den) for x, t in sorted(reduced[c].items())}
-        for c in sorted(reduced)
-    ]
-    rows.extend([{}] * (matrix.rows - len(rows)))
-    return rows, sorted(reduced)
+    return {p: reduced[p] for p in sorted(reduced)}
+
+
+def divided(reduced: dict, cols: int, params: int = 0, rows: int = 0) -> RrefResult:
+    """The RREF of reduced rows {pivot: row}, each row a multiple of its RREF
+    row: over QQ (params 0) the :func:`reduced_int` rows, over
+    QQ(chi_1..chi_params) the :func:`reduced_param` rows.  Each entry is
+    divided once by its row's pivot entry; zero rows (one shared empty row)
+    fill up to `rows` rows."""
+    if params:
+        one, out = ParamScalar.one(params), []
+        for p, row in reduced.items():
+            den = Poly(params, row[p])
+            out.append({c: one if c == p else ParamScalar(Poly(params, t), den) for c, t in sorted(row.items())})
+    else:
+        out = [{c: Fraction(v, row[p]) for c, v in sorted(row.items())} for p, row in reduced.items()]
+    out.extend([{}] * (rows - len(out)))
+    return RrefResult(ExactMatrix.from_rows(out, cols, params), tuple(reduced))
 
 
 def rref(matrix: ExactMatrix) -> RrefResult:
     """Reduced row echelon form with deterministic pivoting."""
     if matrix.rows == 0:
         return RrefResult(matrix, ())
-    if not matrix.params:
-        return divided(reduced_int(map(integer_row, matrix.sparse)), matrix.cols, matrix.rows)
-    rows, pivots = _rref_param(matrix)
-    return RrefResult(ExactMatrix.from_rows(rows, matrix.cols, matrix.params), tuple(pivots))
+    rows = matrix.sparse
+    reduced = reduced_param(rows) if matrix.params else reduced_int(map(integer_row, rows))
+    return divided(reduced, matrix.cols, matrix.params, matrix.rows)
 
 
 def rank(matrix: ExactMatrix) -> int:

@@ -6,7 +6,8 @@ values in g_order to an (s+1)-form with values in g_{order-1} by
 (delta w)^k_mu = dx^i wedge w^k_{mu+1_i}; its cohomology detects the
 obstructions to involution that the coordinate-dependent Janet tableau can
 miss.  Its ranks are taken over QQ on integer rows, and at exterior degree 0
-read off dim g_order by Euler's identity (:func:`_delta_rank`).
+read off dim g_order by Euler's identity (:func:`_delta_rank`); only over
+QQ(chi) is the matrix built, on the exact kernel basis (:func:`delta_matrix`).
 
 The numerical involution test is Cartan's: in some linear frame the count
 dim g_{order+1} = sum_i i*alpha_i must hold.  Equality in any frame implies
@@ -21,15 +22,16 @@ record it as the system's seal (:func:`sealed_order`).  A scan's verdict is
 exact when the symbol is finite type or sealed, and window-limited otherwise.
 
 Symbols and frame tableaux are read off one memoised elimination per order,
-the reduced identity-frame symbol rows (integer rows over QQ, which also give
-the delta bases), by two exact rules: g_t = 0 once g_{t-1} = 0
-(:func:`symbol`), and in a frame A the pivots of class >= k number rank_k,
-the rank of those r rows restricted to L_k = span(columns k..n of A)
-(:func:`janet_tableau`).  One lazy walk reads rank_n, ..., rank_1 from L_n
-(a line) down (:func:`_flag_ranks`).  With d = dim g_order and C_k = m *
-#monomials of degree `order` on L_k, rank_k lies between max(rank_{k+1},
-C_k - d) and min(r, C_k), and is eliminated only where these differ: once a
-rank is r so is every later one, g = 0 gives C_k, and rank_1 = r.
+the reduced identity-frame symbol rows {pivot: row} over either field
+(integer rows over QQ, which also give the delta bases), by two exact
+rules: g_t = 0 once g_{t-1} = 0 (:func:`symbol`), and in a frame A the
+pivots of class >= k number rank_k, the rank of those r rows restricted to
+L_k = span(columns k..n of A) (:func:`janet_tableau`).  One lazy walk reads
+rank_n, ..., rank_1 from L_n (a line) down (:func:`_flag_ranks`).  With
+d = dim g_order and C_k = m * #monomials of degree `order` on L_k, rank_k
+lies between max(rank_{k+1}, C_k - d) and min(r, C_k), and is eliminated
+only where these differ: once a rank is r so is every later one, g = 0
+gives C_k, and rank_1 = r.
 
 One frame search serves the seal (the identity, then A(2)) and the
 involution certificate (the identity, then the random frames): it keeps the
@@ -50,8 +52,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
@@ -67,23 +68,18 @@ FRAME_STEPS = 12
 
 @dataclass(frozen=True)
 class SymbolSpace:
-    """g_order, the kernel of the symbol matrix at `order`, read off the pivots of
-    one elimination; `kernel` builds `basis`, the exact kernel basis of
-    :meth:`RrefResult.kernel`, on first read (over QQ, only `delta_matrix` does)."""
+    """g_order, the kernel of the symbol matrix at `order`: its monomials and
+    the free columns left by the pivots of one elimination.  It holds no
+    basis; :func:`delta_matrix` builds the exact kernel."""
 
     order: int
     ambient: int
     monomials: tuple
     free_columns: tuple
-    kernel: Callable[[], ExactMatrix] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.free_columns)
-
-    @functools.cached_property
-    def basis(self) -> ExactMatrix:
-        return self.kernel()
 
 
 @dataclass(frozen=True)
@@ -152,13 +148,10 @@ def symbol(sys: LinearSystem, order: int) -> SymbolSpace:
     satisfies the conditions defining g_{order-1}, so d_i v = 0 and v = 0."""
     if order >= 1 and ("symbol", order - 1) in sys._cache and symbol_dim(sys, order - 1) == 0:
         columns = tuple(js.jets_exact(sys.n, sys.m, order))
-        empty = functools.partial(ExactMatrix.from_rows, [{}] * len(columns), 0, sys.params)
-        return SymbolSpace(order, len(columns), columns, (), empty)
+        return SymbolSpace(order, len(columns), columns, ())
     reduced, columns = _symbol_rref(sys, order)
-    pivot_set = set(reduced.pivots if sys.params else reduced)
-    kernel = reduced.kernel if sys.params else lambda: divided(reduced, len(columns)).kernel()
-    free = tuple(columns[j] for j in range(len(columns)) if j not in pivot_set)
-    return SymbolSpace(order, len(columns), tuple(columns), free, kernel)
+    free = tuple(columns[j] for j in range(len(columns)) if j not in reduced)
+    return SymbolSpace(order, len(columns), tuple(columns), free)
 
 
 def symbol_dim(sys: LinearSystem, order: int) -> int:
@@ -203,8 +196,11 @@ def _delta_rows(sys: LinearSystem, s: int, order: int, basis, lifts):
 
 def delta_matrix(sys: LinearSystem, s: int, order: int) -> ExactMatrix:
     """Matrix of delta: Lambda^s (x) g_order -> Lambda^{s+1} (x) g_{order-1},
-    the :func:`_delta_rows` of the kernel basis of g_order."""
-    rows = list(_delta_rows(sys, s, order, symbol(sys, order).basis.sparse, _lifts(sys, order)))
+    the :func:`_delta_rows` of the exact kernel basis of g_order, built here
+    from the reduced rows of :func:`_symbol_rref`."""
+    reduced, columns = _symbol_rref(sys, order)
+    basis = divided(reduced, len(columns), sys.params).kernel()
+    rows = list(_delta_rows(sys, s, order, basis.sparse, _lifts(sys, order)))
     return ExactMatrix.from_rows(rows, math.comb(sys.n, s) * symbol_dim(sys, order), sys.params)
 
 
@@ -365,15 +361,16 @@ def curve_frame(n: int) -> CoordinateChange:
 
 def _frame_search(sys: LinearSystem, order: int, draws) -> tuple:
     """(best, tried): from the identity frame's tableau at `order`, the best
-    over the matrices of `draws`, read until the best attains the Cartan
-    count; `tried` counts the matrices read."""
+    over the matrices of `draws()`, which is called only if the identity
+    misses the Cartan count and read until the best attains it; `tried`
+    counts the matrices read."""
     dim_next = symbol_dim(sys, order + 1)
     best, tried = janet_tableau(sys, order), 0
+    if best.multiplicative_sum == dim_next:
+        return best, tried
     r = sum(best.beta)  # rank_1 in every frame
     targets = [t for t in itertools.accumulate(reversed(best.beta)) if t < r]  # the best's ranks below r
-    for draw in draws:
-        if best.multiplicative_sum == dim_next:
-            break
+    for draw in draws():
         tried += 1
         walk, ranks = _flag_ranks(sys, order, draw), []
         for target, rank_k in zip(targets, walk):
@@ -383,6 +380,8 @@ def _frame_search(sys: LinearSystem, order: int, draws) -> tuple:
         if ranks > targets[: len(ranks)]:
             ranks += walk
             best, targets = _tableau(sys, order, ranks, CoordinateChange(draw)), [t for t in ranks if t < r]
+            if best.multiplicative_sum == dim_next:
+                break
     return best, tried
 
 
@@ -393,7 +392,7 @@ def _passes_cartan(sys: LinearSystem, order: int) -> bool:
     An order-0 jet has no class, so order 0 is never certified."""
     if order < 1:
         return False
-    best, _ = _frame_search(sys, order, () if sys.params else (curve_frame(sys.n).matrix,))
+    best, _ = _frame_search(sys, order, lambda: () if sys.params else (curve_frame(sys.n).matrix,))
     return best.multiplicative_sum == symbol_dim(sys, order + 1)
 
 
@@ -454,14 +453,14 @@ def is_involutive_symbol(sys: LinearSystem, order: int | None = None, seed: int 
 @memoised
 def _involution_test(sys: LinearSystem, order: int, seed: int) -> InvolutionResult:
     """Cartan's test by the :func:`_frame_search` over the random frames of
-    `seed`, none read if the identity passes; failing that, the delta-cohomology."""
+    `seed`, none drawn if the identity passes; failing that, the delta-cohomology."""
     window = stabilization_window(sys)
     if order < 1 or not sys.equations:
         tableau = JanetTableau(order, (0,) * sys.n, (0,) * sys.n, CoordinateChange.identity(sys.n))
         cert = InvolutionCertificate("trivial", 0, symbol_dim(sys, order + 1), 0, window, ())
         return InvolutionResult(not sys.equations, tableau, cert)
     dim_next = symbol_dim(sys, order + 1)
-    best, tried = _frame_search(sys, order, _frames(sys.n, seed))
+    best, tried = _frame_search(sys, order, functools.partial(_frames, sys.n, seed))
     if best.multiplicative_sum == dim_next:
         cert = InvolutionCertificate("cartan", tried, dim_next, best.multiplicative_sum, window, ())
         return InvolutionResult(True, best, cert)

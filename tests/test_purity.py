@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,7 +27,7 @@ from formalpde.purity import (
     localized_parametric_jets,
     torsion_generators,
 )
-from formalpde.ratlinalg import ParamScalar, Poly
+from formalpde.ratlinalg import ParamScalar, Poly, field_one
 from formalpde.spencer import _unimodular_draw, curve_frame, symbol_dim
 
 
@@ -49,7 +50,7 @@ def test_localize_example4(corpus_systems):
                 for jc, c in e.terms.items()
             }
         )
-    assert {"y_{33}": loc.system.one()} in rendered
+    assert {"y_{33}": field_one(loc.system.params)} in rendered
     assert any(
         set(r) == {"y_{23}", "y_3"} and r["y_{23}"] == 1 and r["y_3"] == -chi1 for r in rendered
     )
@@ -251,21 +252,28 @@ def test_torsion_after_localized_dimension_repeats_no_elimination(monkeypatch, n
     sys = parse(CORPUS_TEXTS[name]).system  # fresh, with an empty memo
     sys = framed(sys, frame) if frame else complete(sys).final_system
     eliminated = []
-    rref_param, rank = ratlinalg._rref_param, ratlinalg.rank
+    reduced_param, rank = ratlinalg.reduced_param, ratlinalg.rank
 
-    def key(matrix):
-        return matrix.cols, tuple(tuple(sorted((c, str(v)) for c, v in row.items())) for row in matrix.sparse)
+    def key(kind, rows):
+        return kind, tuple(tuple(sorted((c, str(v)) for c, v in row.items())) for row in rows)
 
-    def recorded_rref(matrix):
-        eliminated.append(key(matrix))
-        return rref_param(matrix)
+    def recorded_reduced(kind):
+        def reduced(rows):
+            rows = tuple(rows)
+            eliminated.append(key(kind, rows))
+            return reduced_param(rows)
+
+        return reduced
 
     def recorded_rank(matrix):
         if matrix.params:
-            eliminated.append(key(matrix))
+            eliminated.append(key("matrix", matrix.sparse))
         return rank(matrix)
 
-    monkeypatch.setattr(ratlinalg, "_rref_param", recorded_rref)
+    # `rref` reduces in ratlinalg and `_symbol_rref` in pdesystem; a symbol
+    # matrix may hold the rows of a prolonged one with more columns
+    monkeypatch.setattr(ratlinalg, "reduced_param", recorded_reduced("matrix"))
+    monkeypatch.setattr(pdesystem, "reduced_param", recorded_reduced("symbol"))
     for module in (completion, hilbert, inverse, pdesystem, purity, ratlinalg, spencer):
         if getattr(module, "rank", None) is rank:
             monkeypatch.setattr(module, "rank", recorded_rank)
@@ -273,6 +281,41 @@ def test_torsion_after_localized_dimension_repeats_no_elimination(monkeypatch, n
     assert eliminated, "the localized dimension eliminates over QQ(chi)"
     torsion_generators(sys, r)
     assert len(set(eliminated)) == len(eliminated)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_TEXTS))
+def test_localized_rref_entries_print_reduce_and_evaluate(monkeypatch, name):
+    # every entry in and out of each QQ(chi) rref that a localization of the
+    # completed system reaches prints, and its gcd-reduced form is the same
+    # rational function; a localized dimension reports a failed division in
+    # an entry as a wrong codimension, so the entries are checked here
+    from formalpde import inverse, pdesystem, purity, ratlinalg
+
+    entries, rref = [], ratlinalg.rref
+
+    def recorded(matrix):
+        result = rref(matrix)
+        if matrix.params:
+            entries.extend(v for m in (matrix, result.matrix) for row in m.sparse for v in row.values())
+        return result
+
+    for module in (inverse, pdesystem, purity, ratlinalg):
+        if getattr(module, "rref", None) is rref:
+            monkeypatch.setattr(module, "rref", recorded)
+    final = complete(parse(CORPUS_TEXTS[name]).system).final_system
+    for r in range(1, final.n):
+        try:
+            localized_dimension(localize(final, r))
+        except ValueError as err:
+            assert "not finite type" in str(err), (r, err)
+    rng = random.Random(0)
+    for v in entries:
+        assert str(v)
+        reduced = v.reduced()
+        for _ in range(3):
+            point = [Fraction(rng.randint(-5, 5)) for _ in range(v.nvars)]
+            if v.den.evaluate(point):
+                assert reduced.evaluate(point) == v.evaluate(point), (v, point)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_TEXTS) + ["flagship"])

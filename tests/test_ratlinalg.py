@@ -14,10 +14,14 @@ from formalpde.ratlinalg import (
     ParamScalar,
     Poly,
     _fraction_gcd,
+    _pdiv,
+    divided,
+    field_zero,
     kernel_basis,
     pivot_columns,
     poly_gcd,
     rank,
+    reduced_param,
     rref,
 )
 
@@ -388,6 +392,73 @@ def test_poly_div_exact_raises_on_inexact():
         (x * x + 1).div_exact(x + 1)
 
 
+_COEFFICIENTS = st.one_of(
+    st.sampled_from((F(-1), F(1), F(-2), F(3))),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+)
+
+
+@st.composite
+def _poly_division_cases(draw):
+    """(p, q, c, points) in 0 to 2 variables: Fraction-coefficient p and a
+    nonzero q (negative constants and -1 included), a nonzero constant c and
+    evaluation points."""
+    nvars = draw(st.integers(0, 2))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), _COEFFICIENTS, max_size=4)
+    p = Poly(nvars, draw(terms))
+    q = draw(st.one_of(terms.map(lambda t: Poly(nvars, t)), st.sampled_from((-1, -2, 1)).map(lambda c: Poly.const(nvars, c))).filter(bool))
+    c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+    points = draw(st.lists(st.tuples(*[st.integers(-4, 4).map(F)] * nvars), min_size=1, max_size=3))
+    return p, q, c, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_division_cases())
+def test_poly_div_exact_matches_evaluation(case):
+    # evaluation is plain Fraction arithmetic, independent of the term-dict
+    # product and quotient; the Bareiss oracle below itself calls div_exact
+    p, q, c, points = case
+    quotient = (p * q).div_exact(q)
+    assert all(quotient.evaluate(x) == p.evaluate(x) for x in points)
+    if not q.is_constant():  # q divides no nonzero constant, so not p*q + c
+        with pytest.raises(ValueError):
+            (p * q + Poly.const(q.nvars, c)).div_exact(q)
+
+
+def test_pdiv_divides_by_a_constant_in_any_number_of_variables():
+    # a constant divisor shifts no exponent, so none can turn negative
+    assert _pdiv({(): 4}, {(): -2}) == {(): -2}
+    assert _pdiv({(2, 0): 6, (0, 1): -3}, {(0, 0): 3}) == {(2, 0): 2, (0, 1): -1}
+    with pytest.raises(ValueError):
+        _pdiv({(): 3}, {(): 2})
+    with pytest.raises(ValueError):
+        _pdiv({(0,): 3}, {(1,): 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_division_cases(), _poly_division_cases())
+def test_poly_gcd_matches_sympy(first, second):
+    sympy = pytest.importorskip("sympy")
+    f, g, _, _ = first
+    h = second[0]
+    nvars = max(f.nvars, h.nvars)
+    f, g, h = (Poly(nvars, {e + (0,) * (nvars - len(e)): v for e, v in p.terms.items()}) for p in (f, g, h))
+    symbols = sympy.symbols(f"x:{nvars}")
+
+    def expr(p):
+        return sum(
+            (sympy.Rational(v.numerator, v.denominator) * sympy.Mul(*(x**k for x, k in zip(symbols, e)))
+             for e, v in p.terms.items()),
+            sympy.Integer(0),
+        )
+
+    a, b = f * g, f * h
+    if not a and not b:
+        return
+    ours, expected = poly_gcd(a, b), sympy.gcd(expr(a), expr(b))
+    assert ours and sympy.cancel(expr(ours) / expected).is_number
+
+
 _QQ_ENTRIES = st.one_of(
     st.just(F(0)),
     st.integers(-4, 4).map(F),
@@ -485,7 +556,7 @@ def _products(draw):
 @given(_products())
 def test_product_matches_dense_oracle(pair):
     a, b = pair
-    zero = a.zero()
+    zero = field_zero(a.params)
     expected = [
         [sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), zero) for j in range(b.cols)]
         for i in range(a.rows)
@@ -563,3 +634,18 @@ def test_param_rref_matches_dense_bareiss_oracle(m):
     # ParamScalar equality is semantic: a/b == c/d when a*d == c*b
     assert [list(r) for r in result.matrix.entries] == [list(r) for r in expected.entries]
     assert rank(m) == len(result.pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chi2_matrices())
+def test_reduced_param_rows_share_one_pivot_entry_and_divide_to_the_oracle(m):
+    # every reduced row is d times its RREF row, d the same polynomial for all
+    reduced = reduced_param(m.sparse)
+    assert len({frozenset(row[p].items()) for p, row in reduced.items()}) <= 1
+    assert all(type(x) is int for row in reduced.values() for t in row.values() for x in t.values())
+    expected, pivots = _rref_param(m) if m.rows else ([], [])
+    result = divided(reduced, m.cols, 2, m.rows)
+    assert tuple(reduced) == result.pivots == tuple(pivots)
+    expected = ExactMatrix.from_rows(expected, m.cols, 2)
+    assert [list(r) for r in result.matrix.entries] == [list(r) for r in expected.entries]
+    assert result == rref(m)

@@ -26,7 +26,7 @@ from formalpde.pdesystem import (
     flag_levels,
     symbol_matrix,
 )
-from formalpde.ratlinalg import rank, rref
+from formalpde.ratlinalg import ParamScalar, Poly, kernel_basis, rank, rref
 from formalpde.spencer import (
     N_FRAMES,
     InvolutionCertificate,
@@ -251,7 +251,9 @@ def test_symbol_space_vectors_satisfy_equations(corpus_systems):
     from formalpde.pdesystem import symbol_matrix
 
     matrix, _ = symbol_matrix(sys, 3)
-    assert (matrix @ space.basis).is_zero()
+    basis = kernel_basis(matrix)
+    assert basis.cols == space.dim
+    assert (matrix @ basis).is_zero()
 
 
 def test_involution_memo_is_keyed_on_seed():
@@ -274,6 +276,7 @@ def reference_delta(sys, s, order):
 
     n = sys.n
     g_hi, g_lo = symbol(sys, order), symbol(sys, order - 1) if order >= 1 else None
+    basis = kernel_basis(symbol_matrix(sys, order)[0])
     lo_free = g_lo.free_columns if g_lo else ()
     hi_row = {jc: idx for idx, jc in enumerate(g_hi.monomials)}
     dom, cod = list(combinations(range(1, n + 1), s)), list(combinations(range(1, n + 1), s + 1))
@@ -288,7 +291,7 @@ def reference_delta(sys, s, order):
                     src = hi_row.get(JetCoordinate(jc.k, up))
                     if src is not None:
                         row, col = cod.index(J) * len(lo_free) + t, di * g_hi.dim + b
-                        entries[row][col] += sign * g_hi.basis.entries[src][b]
+                        entries[row][col] += sign * basis.entries[src][b]
     return entries
 
 
@@ -648,20 +651,28 @@ def test_symbol_eliminates_no_lower_symbol(corpus_systems):
 
 def _check_symbol_engine(sys, orders):
     """Each symbol read off the one elimination against a fresh RREF of its
-    matrix: the basis is the RREF kernel; over QQ each reduced integer row
-    divided by its pivot entry is the RREF row, and the delta basis is the
-    kernel basis with each vector times the lcm of its denominators."""
+    matrix: the free columns are the RREF's non-pivots; each reduced row
+    divided by its pivot entry is the RREF row (over QQ(chi) every pivot entry
+    is the same d); over QQ the rows are integer rows, and the delta basis is
+    the kernel basis with each vector times the lcm of its denominators."""
     for order in orders:
         expected = rref(symbol_matrix(sys, order)[0])
-        kernel = expected.kernel()
-        assert symbol(sys, order).basis == kernel, order
-        if sys.params:
-            continue
+        columns = symbol(sys, order).monomials
+        free = tuple(jc for j, jc in enumerate(columns) if j not in expected.pivots)
+        assert symbol(sys, order).free_columns == free, order
         reduced, _ = _symbol_rref(sys, order)
         assert tuple(reduced) == expected.pivots, order
         for (p, row), rref_row in zip(reduced.items(), expected.matrix.sparse):
-            assert all(type(v) is int for v in row.values())
-            assert {c: Fraction(v, row[p]) for c, v in row.items()} == rref_row, order
+            if sys.params:
+                d = Poly(sys.params, row[p])
+                assert {c: ParamScalar(Poly(sys.params, t), d) for c, t in row.items()} == rref_row, order
+            else:
+                assert all(type(v) is int for v in row.values())
+                assert {c: Fraction(v, row[p]) for c, v in row.items()} == rref_row, order
+        if sys.params:
+            assert len({frozenset(row[p].items()) for p, row in reduced.items()}) <= 1, order
+            continue
+        kernel = expected.kernel()
         scale = [1] * kernel.cols
         for row in kernel.sparse:
             for b, v in row.items():
@@ -755,6 +766,19 @@ def test_pruned_frame_search_matches_the_exhaustive_search():
 @given(constant_coefficient_systems(), st.integers(0, 7))
 def test_pruned_frame_search_matches_the_exhaustive_search_on_random_systems(sys, seed):
     _check_pruned_search(sys, [seed])
+
+
+def test_random_frames_are_drawn_only_when_the_identity_fails(monkeypatch):
+    # example4 as given passes Cartan's test at the identity and draws no
+    # frame; two-unknown fails it in every frame and reads all N_FRAMES
+    from formalpde import spencer
+
+    drawn, frames = [], spencer._frames
+    monkeypatch.setattr(spencer, "_frames", lambda n, seed: drawn.append((n, seed)) or frames(n, seed))
+    res = is_involutive_symbol(parse(CORPUS_TEXTS["example4"]).system)
+    assert (res.certificate.method, res.certificate.frames_tried, drawn) == ("cartan", 0, [])
+    res = is_involutive_symbol(parse(BENCH_TEXTS["two-unknown"]).system)
+    assert (res.certificate.frames_tried, drawn) == (N_FRAMES, [(4, 0)])
 
 
 def test_frame_search_builds_and_ranks_only_frames_that_can_win(monkeypatch, tmp_path, capsys):
