@@ -22,8 +22,6 @@ from .pdesystem import LinearSystem, _full_rref, memoised, projected_system, sli
 from .ratlinalg import Poly, field_zero
 from .spencer import is_involutive_symbol, is_s_acyclic, stabilization_window
 
-MAX_STEPS = 10  # one-step projections tried before the completion gives up
-
 
 @dataclass(frozen=True)
 class CompletionStep:
@@ -35,6 +33,10 @@ class CompletionStep:
 
 @dataclass(frozen=True)
 class IntegrabilityReport:
+    """'formally_integrable' if the input takes no step, 'completed' after `steps`
+    projections, 'window_inconclusive' if no rho in the window of the final
+    system has g_rho 2-acyclic and every R_{r+1} -> R_r, q <= r <= rho, onto."""
+
     verdict: str  # 'formally_integrable' | 'completed' | 'window_inconclusive'
     steps: int
     trace: tuple
@@ -102,9 +104,11 @@ def projection_surjective(sys: LinearSystem, order: int) -> bool:
 def complete(sys: LinearSystem) -> IntegrabilityReport:
     """Project one step at a time until :func:`is_completed` sees nothing new, then certify.
 
+    A step that gains shrinks some R_t, t <= q, and grows none, so there are
+    at most sum_{t<=q} dim R_t of the input steps and the loop needs no cap.
     The certification walks rho upward from the final order looking for a
-    2-acyclic symbol with surjective projections below; when the window runs
-    out the verdict is 'window_inconclusive' rather than a silent guess.
+    2-acyclic symbol with surjective projections below; when a projection
+    fails or the window runs out the verdict is 'window_inconclusive'.
     Memoised in the system's cache by weak reference, not by `memoised`: the
     report of a system that needs no change names the system itself, and a
     strong entry would form a cycle that only the cyclic collector frees.
@@ -123,17 +127,11 @@ def _completion(sys: LinearSystem) -> IntegrabilityReport:
     current = sys
     trace = []
     window = stabilization_window(sys)
-    for step in range(1, MAX_STEPS + 1):
-        if is_completed(current):
-            break
+    while not is_completed(current):
         q, nxt = current.order, projected_system(current, 1)
         gained = _gained_equations(current, nxt)
-        trace.append(CompletionStep(step, gained, _dims_upto(current, q), _dims_upto(nxt, q)))
+        trace.append(CompletionStep(len(trace) + 1, gained, _dims_upto(current, q), _dims_upto(nxt, q)))
         current = nxt
-    else:
-        return IntegrabilityReport(
-            "window_inconclusive", len(trace), tuple(trace), current, None, (), True
-        )
     current = reduce_order(current)
     q = current.order
     flags = []

@@ -160,19 +160,17 @@ def multiplication_matrices(sys: LinearSystem):
     """Matrices of d_1..d_n acting on M over its parametric-jet basis.
 
     Returns (matrices, basis jets); column j of matrix i is the residue of
-    d_i applied to basis jet j.
+    d_i applied to basis jet j.  The stable order o has g_{o+1} = 0, so every
+    parametric jet at horizon o + 1 has order <= o.
     """
-    o = _stabilized_order(sys)
-    residues, parametric = residue_map(sys, o + 1)
-    basis_jets = [jc for jc in parametric if js.order_of(jc.mu) <= o]  # a prefix
-    width = len(basis_jets)
+    residues, basis_jets = residue_map(sys, _stabilized_order(sys) + 1)
     mats = []
     for i in range(1, sys.n + 1):
         cols = []
         for jc in basis_jets:
             up = tuple(e + (1 if t == i - 1 else 0) for t, e in enumerate(jc.mu))
-            cols.append({t: v for t, v in residues[JetCoordinate(jc.k, up)].items() if t < width})
-        mats.append(ExactMatrix.from_rows(cols, width, sys.params).transpose())
+            cols.append(residues[JetCoordinate(jc.k, up)])
+        mats.append(ExactMatrix.from_rows(cols, len(basis_jets), sys.params).transpose())
     return tuple(mats), tuple(basis_jets)
 
 

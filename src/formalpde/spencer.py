@@ -464,16 +464,11 @@ def _involution_test(sys: LinearSystem, order: int, seed: int) -> InvolutionResu
     if best.multiplicative_sum == dim_next:
         cert = InvolutionCertificate("cartan", tried, dim_next, best.multiplicative_sum, window, ())
         return InvolutionResult(True, best, cert)
+    # no frame reached the Cartan count: trust the cohomology, flagging the
+    # window when the scan saw no obstruction and was not exact
     reports, exact = acyclicity_scan(sys, sys.n, order, window)
     nonzero = tuple((r.s, r.order, r.dim_cohomology) for r in reports if r.dim_cohomology)
-    if nonzero:
-        cert = InvolutionCertificate(
-            "cohomology", tried, dim_next, best.multiplicative_sum, window, nonzero
-        )
-        return InvolutionResult(False, best, cert)
-    # No frame reached the Cartan count but no obstruction was seen either;
-    # trust the cohomology, flagging the window when the scan was not exact.
     cert = InvolutionCertificate(
-        "cohomology", tried, dim_next, best.multiplicative_sum, window, (), window_limited=not exact
+        "cohomology", tried, dim_next, best.multiplicative_sum, window, nonzero, not (nonzero or exact)
     )
-    return InvolutionResult(True, best, cert)
+    return InvolutionResult(not nonzero, best, cert)

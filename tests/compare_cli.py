@@ -7,9 +7,14 @@ six-variable system that reaches the most high-order frame tableaux, the
 two-unknown system whose completion needs every derivative of the full
 prolongation (z1 = 0 forces z1_13 = 0 and so z2 = 0), and the flat Killing
 and conformal Killing systems for n = 2-5 (m = n unknowns, so their
-characteristic minors are n x n), plus `examples run all`, and
-`involution --order o` on each system for o = q..q+2 (q its order), whose
-frame searches run above the input order.  Each run prints one line,
+characteristic minors are n x n), and two systems whose completion no
+order certifies (`analyze` exits 1 on them, the other commands print one
+line), plus `examples run all`, and `involution --order o` on each system
+for o = q..q+2 (q its order), whose frame searches run above the input
+order.  It also runs the `hilbert --degrees` series paths, with and without
+`--file`, and argument lists that exit 3 (a parse error, an unknown corpus
+entry, `hilbert` without `--file` or `--degrees`, a zero degree and a
+negative truncation).  Each run prints one line,
 
     <seed> <report mode> <command> <system> <sha256 of stdout, stderr, exit code>
 
@@ -42,11 +47,29 @@ from make_report_pins import COMMANDS, run_cli  # noqa: E402
 from formalpde.parser import parse  # noqa: E402
 
 HIDDEN_ZERO_TEXT = "vars=3; unknowns=2; eq: z2[1,1]=0; eq: z1[1,3]-z2[]=0; eq: z1[]=0\n"
+# completion reaches a fixed point, but a projection above q fails in the window
+INCONCLUSIVE_TEXTS = {
+    "inconclusive1": "vars=2; eq: y[1,2,2]=0; eq: y[2,2]-2*y[1,1,1]=0\n",
+    "inconclusive2": "vars=3; unknowns=2; eq: z1[3,3]=0; eq: z1[1,2]-2*z2[1]=0\n",
+}
+BAD_TEXT = "vars=2; eq: y[1,=0\n"
+# (command, system, argv) of the runs outside COMMANDS; {name} is the path of that text
+EXTRA_RUNS = [
+    ("hilbert-series", "vars3", ["hilbert", "--vars", "3", "--degrees", "3,2", "--trunc", "6"]),
+    ("hilbert-degrees", "example3", ["hilbert", "--file", "{example3}", "--degrees", "2,3", "--trunc", "7"]),
+    ("hilbert-degrees", "inconclusive1", ["hilbert", "--file", "{inconclusive1}", "--degrees", "3,3"]),
+    ("exit3", "parse-error", ["analyze", "{bad}"]),
+    ("exit3", "examples-nosuch", ["examples", "run", "nosuch"]),
+    ("exit3", "hilbert-no-source", ["hilbert", "--vars", "3"]),
+    ("exit3", "degrees-zero", ["hilbert", "--vars", "3", "--degrees", "0", "--trunc", "6"]),
+    ("exit3", "trunc-negative", ["hilbert", "--vars", "3", "--degrees", "3,2", "--trunc", "-1"]),
+]
 
 
 def digests(seeds: list[int]):
     """(seed, mode, command, system, digest) of every run, in a fixed order."""
     texts = {**CORPUS_TEXTS, **BENCH_TEXTS, "six-var": SIX_VAR_TEXT, "hidden-zero": HIDDEN_ZERO_TEXT}
+    texts.update(INCONCLUSIVE_TEXTS)
     for n in range(2, 6):
         texts[f"killing{n}"] = killing_text(n)
         texts[f"conformal-killing{n}"] = killing_text(n, conformal=True)
@@ -56,6 +79,8 @@ def digests(seeds: list[int]):
             paths[name] = Path(tmp) / f"{name}.pde"
             paths[name].write_text(text, encoding="utf-8")
             orders[name] = parse(text).system.order
+        files = {**paths, "bad": Path(tmp) / "bad.pde"}
+        files["bad"].write_text(BAD_TEXT, encoding="utf-8")
         for seed in seeds:
             for mode in ("json", "text"):
                 flags = ["--seed", str(seed), "--report", mode]
@@ -63,6 +88,8 @@ def digests(seeds: list[int]):
                     for name, path in paths.items():
                         yield seed, mode, command, name, run_cli(flags + [a.format(file=path) for a in template])
                 yield seed, mode, "examples", "all", run_cli(flags + ["examples", "run", "all"])
+                for command, name, template in EXTRA_RUNS:
+                    yield seed, mode, command, name, run_cli(flags + [a.format(**files) for a in template])
                 for name, path in paths.items():
                     for order in range(orders[name], orders[name] + 3):
                         argv = flags + ["involution", "--order", str(order), str(path)]

@@ -340,7 +340,7 @@ def test_cli_analyze_completes_a_system_whose_prolongation_forces_zero(tmp_path,
 def test_cli_inconclusive_completion_exit_code(command, tmp_path, capsys, monkeypatch):
     f = tmp_path / "window.pde"
     f.write_text(HIDDEN_ZERO_TEXT, encoding="utf-8")
-    monkeypatch.setattr("formalpde.completion.MAX_STEPS", 1)
+    monkeypatch.setattr("formalpde.completion.is_s_acyclic", lambda *a: (False, False))  # no order certifies
     assert main(["--report", "json", "analyze", str(f)]) == EXIT_INCONCLUSIVE
     assert json.loads(capsys.readouterr().out)["completion"]["verdict"] == "window_inconclusive"
     assert main(["--report", "json", command, str(f)]) == EXIT_INCONCLUSIVE
@@ -356,7 +356,7 @@ def test_cli_hilbert_inconclusive_completion_exit_code(tmp_path, capsys, monkeyp
     argv = ["hilbert", "--file", str(f), "--trunc", "5"]
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == "function: [1, 3, 2, 2, 2, 2]\n"
-    monkeypatch.setattr("formalpde.completion.MAX_STEPS", 1)
+    monkeypatch.setattr("formalpde.completion.is_s_acyclic", lambda *a: (False, False))  # no order certifies
     assert main(argv) == EXIT_INCONCLUSIVE
     captured = capsys.readouterr()
     assert captured.out == ""

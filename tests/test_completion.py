@@ -35,12 +35,12 @@ def test_complete_example3(corpus_systems):
         assert step.dims_after < step.dims_before
 
 
-def test_complete_reports_inconclusive_when_steps_exhausted(corpus_systems, monkeypatch):
-    monkeypatch.setattr("formalpde.completion.MAX_STEPS", 1)
+def test_complete_reports_inconclusive_when_no_order_certifies(corpus_systems, monkeypatch):
+    monkeypatch.setattr("formalpde.completion.is_s_acyclic", lambda *a: (False, False))
     report = complete(corpus_systems["example3"])
     assert report.verdict == "window_inconclusive"
     assert not report.integrable
-    assert report.steps == 1
+    assert report.steps == 2
 
 
 def test_complete_flagship_formally_integrable(corpus_systems):
@@ -238,6 +238,18 @@ def test_completion_certifies_itself_and_keeps_the_solutions(sys):
         horizon += 1
         assert horizon <= q + (report.steps + q) * (q + 1)
     assert agree(horizon + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(constant_coefficient_systems())
+@example(parse("vars=3; unknowns=2; eq: z1[3,3]=0; eq: z2[2,3]+z1[2]=0; eq: z2[2,3]+z2[]=0").system)
+def test_each_completion_step_shrinks_the_dimension_sum(sys):
+    # the bound that ends the completion loop without a cap
+    report = complete(sys)
+    for step in report.trace:
+        assert all(a <= b for a, b in zip(step.dims_after, step.dims_before, strict=True))
+        assert sum(step.dims_after) < sum(step.dims_before)
+    assert report.steps <= sum(completion._dims_upto(sys, sys.order))
 
 
 def test_codimension_invariant_under_frames(corpus_systems):
