@@ -15,27 +15,26 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import jetspace as js
-from .pdesystem import LinearSystem, _full_rref, memoised, projected_system, slice_at
+from .pdesystem import LinearSystem, SlottedRecord, _full_rref, memoised, projected_system, slice_at
 from .ratlinalg import Poly, field_zero
 from .spencer import is_involutive_symbol, is_s_acyclic, stabilization_window
 
 
-@dataclass(frozen=True)
-class CompletionStep:
+class CompletionStep(NamedTuple):
     step: int
     gained: tuple  # Equation objects new at this step
     dims_before: tuple
     dims_after: tuple
 
 
-@dataclass(frozen=True)
-class IntegrabilityReport:
+class IntegrabilityReport(SlottedRecord):
     """'formally_integrable' if the input takes no step, 'completed' after `steps`
     projections, 'window_inconclusive' if no rho in the window of the final
-    system has g_rho 2-acyclic and every R_{r+1} -> R_r, q <= r <= rho, onto."""
+    system has g_rho 2-acyclic and every R_{r+1} -> R_r, q <= r <= rho, onto.
+    Slotted with a weak reference, by which :func:`complete` memoises it."""
 
     verdict: str  # 'formally_integrable' | 'completed' | 'window_inconclusive'
     steps: int
@@ -44,6 +43,13 @@ class IntegrabilityReport:
     acyclic_order: int | None
     projection_flags: tuple  # ((order, surjective), ...)
     window_limited: bool
+    _fields = ("verdict", "steps", "trace", "final_system", "acyclic_order", "projection_flags", "window_limited")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, verdict, steps, trace, final_system, acyclic_order, projection_flags, window_limited):
+        self.verdict, self.steps, self.trace, self.final_system = verdict, steps, trace, final_system
+        self.acyclic_order, self.projection_flags = acyclic_order, projection_flags
+        self.window_limited = window_limited
 
     @property
     def integrable(self) -> bool:
@@ -199,8 +205,7 @@ def codimension(sys: LinearSystem, seed: int = 0) -> int:
     return sys.n - last_nonzero
 
 
-@dataclass(frozen=True)
-class CharacteristicMatrix:
+class CharacteristicMatrix(NamedTuple):
     """Top-order coefficient matrix over QQ[chi] and its m x m minor generators."""
 
     matrix: tuple  # rows: equations, cols: unknowns, entries Poly in n variables

@@ -16,7 +16,7 @@ the `examples` subcommand always points at a concrete number.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import jetspace as js
 from .completion import (
@@ -45,8 +45,7 @@ from .purity import is_pure, localize, localized_dimension, localized_parametric
 from .spencer import cohomology, is_involutive_symbol, symbol, symbol_dim
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     key: str
     provenance: str
     expected: object
@@ -57,8 +56,7 @@ class Check:
         return self.expected == self.actual
 
 
-@dataclass(frozen=True)
-class CorpusResult:
+class CorpusResult(NamedTuple):
     name: str
     source: str
     checks: tuple

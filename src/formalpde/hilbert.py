@@ -8,24 +8,23 @@ order) is treated as ground truth; the series is the claim under test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .completion import complete
 from .jetspace import monomial_count
-from .pdesystem import LinearSystem, slice_at
+from .pdesystem import LinearSystem, SlottedRecord, slice_at
 from .spencer import symbol_dim
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(SlottedRecord):
     """Integer coefficients of a series truncated at degree `truncation`."""
 
-    coefficients: tuple
-    truncation: int
+    __slots__ = _fields = ("coefficients", "truncation")
 
-    def __post_init__(self):
-        if len(self.coefficients) != self.truncation + 1:
+    def __init__(self, coefficients: tuple, truncation: int):
+        if len(coefficients) != truncation + 1:
             raise ValueError("coefficient list does not match truncation")
+        self.coefficients, self.truncation = coefficients, truncation
 
     def __getitem__(self, t: int) -> int:
         return self.coefficients[t]
@@ -37,8 +36,7 @@ class PowerSeries:
         return ",".join(str(c) for c in self.coefficients)
 
 
-@dataclass(frozen=True)
-class SeriesComparison:
+class SeriesComparison(NamedTuple):
     per_degree: tuple  # booleans, degree by degree
     first_mismatch: int | None
 

@@ -17,27 +17,24 @@ dual, which the tests check dimension by dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
-from .pdesystem import LinearSystem, _full_rref, memoised, stable_order
+from .pdesystem import LinearSystem, SlottedRecord, _full_rref, memoised, stable_order
 from .ratlinalg import ExactMatrix, ParamScalar, field_one, rank, rref
 
 SPENCER_SIGN_NOTE = "Spencer operator taken with Macaulay's sign: (d_i f)_mu = f_{mu+1_i}"
 
 
-@dataclass(frozen=True)
-class Section:
-    """Element of the order-`order` inverse system, as a dual-jet coefficient map."""
+class Section(SlottedRecord):
+    """Element of the order-`order` inverse system, as a dual-jet coefficient map;
+    unhashable, as its coefficients are a dict."""
 
-    order: int
-    coefficients: dict
+    __slots__ = _fields = ("order", "coefficients")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", {jc: c for jc, c in self.coefficients.items() if c}
-        )
+    def __init__(self, order: int, coefficients: dict):
+        self.order, self.coefficients = order, {jc: c for jc, c in coefficients.items() if c}
 
     def coefficient(self, jc: JetCoordinate):
         return self.coefficients.get(jc, 0)
@@ -65,8 +62,7 @@ def dual_jet_name(jc: JetCoordinate, m: int, var_offset: int = 0) -> str:
     return f"a^{sup}" if m == 1 else f"a^{sup}_{jc.k}"
 
 
-@dataclass(frozen=True)
-class ModularEquation:
+class ModularEquation(NamedTuple):
     """A section written as E = sum f^k_mu a^mu_k = 0 with formal coefficients."""
 
     section: Section

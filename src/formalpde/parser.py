@@ -18,8 +18,8 @@ with a trailing number, like `z2`, addresses that unknown.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
@@ -33,8 +33,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'name' | 'int' | punctuation
     text: str
     line: int
@@ -85,8 +84,7 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class SystemDocument:
+class SystemDocument(NamedTuple):
     n: int
     m: int
     system: LinearSystem

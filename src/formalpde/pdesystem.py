@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
@@ -161,19 +161,42 @@ def flag_levels(a):
         yield vectors
 
 
-@dataclass(frozen=True)
-class CoordinateChange:
+class SlottedRecord:
+    """Field-wise equality, hash and repr ``Name(field=value, ...)`` over
+    `_fields`: the base of the records whose constructors check or convert
+    their values.  The other records are `NamedTuple`s."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class CoordinateChange(SlottedRecord):
     """Invertible substitution d_i -> sum_j A[i][j] d_j of the independent variables.
 
     A is checked nonsingular by draining its :func:`flag_levels`, which frame
     tableaux read lazily, L_n first.
     """
 
-    matrix: tuple
+    __slots__ = _fields = ("matrix",)
+
+    def __init__(self, matrix: tuple):
+        self.matrix = matrix
+        self.__post_init__()
 
     def __post_init__(self):
-        a = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", a)
+        self.matrix = a = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
         if any(len(row) != len(a) for row in a):
             raise ValueError("coordinate change must be square")
         for _ in flag_levels(a):
@@ -198,8 +221,7 @@ class CoordinateChange:
         return all(x == (i == j) for i, row in enumerate(self.matrix) for j, x in enumerate(row))
 
 
-@dataclass(frozen=True)
-class JetSpaceSlice:
+class JetSpaceSlice(NamedTuple):
     """Solution-space data of one jet order: dim R_r and the parametric jets."""
 
     order: int

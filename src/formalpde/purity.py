@@ -11,8 +11,8 @@ r-pure exactly when no such jet exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
@@ -31,8 +31,7 @@ from .pdesystem import (
 from .ratlinalg import ExactMatrix, ParamScalar, Poly, integer_poly_row, kernel_basis
 
 
-@dataclass(frozen=True)
-class LocalizedSystem:
+class LocalizedSystem(NamedTuple):
     """A system rewritten over QQ(chi_1..chi_s) in the trailing r variables."""
 
     params: int  # s = n - r
@@ -48,8 +47,7 @@ class LocalizedSystem:
         return coeff, JetCoordinate(jc.k, local)
 
 
-@dataclass(frozen=True)
-class TorsionElement:
+class TorsionElement(NamedTuple):
     """A combination of low-order jets alive in M that dies in the localization.
 
     In delta-regular coordinates the combination is a single jet coordinate
@@ -65,8 +63,7 @@ class TorsionElement:
         return self.companion_label
 
 
-@dataclass(frozen=True)
-class PurityReport:
+class PurityReport(NamedTuple):
     codimension: int
     localized_dimension: int | None
     torsion: tuple

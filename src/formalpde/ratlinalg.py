@@ -27,10 +27,9 @@ symbolically; no probabilistic shortcut is taken.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Fraction
 
@@ -407,8 +406,7 @@ def field_one(params: int = 0) -> Entry:
     return ParamScalar.one(params) if params else Fraction(1)
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(NamedTuple):
     matrix: "ExactMatrix"
     pivots: tuple[int, ...]
 

@@ -52,7 +52,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import jetspace as js
 from .jetspace import JetCoordinate
@@ -66,8 +66,7 @@ FRAME_BOUND = 3
 FRAME_STEPS = 12
 
 
-@dataclass(frozen=True)
-class SymbolSpace:
+class SymbolSpace(NamedTuple):
     """g_order, the kernel of the symbol matrix at `order`: its monomials and
     the free columns left by the pivots of one elimination.  It holds no
     basis; :func:`delta_matrix` builds the exact kernel."""
@@ -82,8 +81,7 @@ class SymbolSpace:
         return len(self.free_columns)
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(NamedTuple):
     """Dimension bookkeeping of the delta-complex at one spot Lambda^s (x) g_order."""
 
     s: int
@@ -109,8 +107,7 @@ class DeltaReport:
         return h
 
 
-@dataclass(frozen=True)
-class JanetTableau:
+class JanetTableau(NamedTuple):
     """Per-class solved-equation counts beta_i and characters alpha_i at one order."""
 
     order: int
@@ -123,8 +120,7 @@ class JanetTableau:
         return sum((i + 1) * a for i, a in enumerate(self.alpha))
 
 
-@dataclass(frozen=True)
-class InvolutionCertificate:
+class InvolutionCertificate(NamedTuple):
     method: str  # 'cartan' | 'cohomology' | 'trivial'
     frames_tried: int
     dim_next_symbol: int
@@ -134,8 +130,7 @@ class InvolutionCertificate:
     window_limited: bool = False
 
 
-@dataclass(frozen=True)
-class InvolutionResult:
+class InvolutionResult(NamedTuple):
     involutive: bool
     tableau: JanetTableau
     certificate: InvolutionCertificate

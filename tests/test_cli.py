@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys as _sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import formalpde
 from conftest import BENCH_TEXTS, CORPUS_TEXTS
 from formalpde import corpus
 from formalpde.completion import complete
@@ -149,22 +154,31 @@ def test_report_json_deterministic():
     assert a == b
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports the same formalpde
+    as this process, installed or not."""
+    paths = (str(Path(formalpde.__file__).parent.parent), os.environ.get("PYTHONPATH"))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 def test_report_json_byte_identical_across_processes(tmp_path):
-    import os
-    import subprocess
-    import sys as _sys
-    from pathlib import Path
-
-    import formalpde
-
     f = tmp_path / "ex3.pde"
     f.write_text(CORPUS_TEXTS["example3"], encoding="utf-8")
     cmd = [_sys.executable, "-m", "formalpde.cli", "--report", "json", "analyze", str(f)]
-    # the child imports the same formalpde as this process, installed or not
-    paths = (str(Path(formalpde.__file__).parent.parent), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    runs = [subprocess.run(cmd, capture_output=True, check=True, env=env).stdout for _ in range(2)]
+    runs = [subprocess.run(cmd, capture_output=True, check=True, env=_child_env()).stdout for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_cli_import_pulls_in_no_dataclasses_or_inspect():
+    # start-up cost: `dataclasses` brings in `inspect`, `ast`, `dis` and
+    # `tokenize`, a few milliseconds of every CLI call; the records are
+    # NamedTuples and slotted classes instead
+    code = (
+        "import sys; before = set(sys.modules); import formalpde.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))"
+    )
+    run = subprocess.run([_sys.executable, "-c", code], capture_output=True, check=True, env=_child_env(), text=True)
+    assert run.stdout.strip() == ""
 
 
 def test_report_flagship_notes_and_values():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from conftest import BENCH_TEXTS, CORPUS_TEXTS, constant_coefficient_systems, ki
 from formalpde import completion
 from formalpde import jetspace as js
 from formalpde.completion import (
+    IntegrabilityReport,
     characteristic_matrix,
     codimension,
     complete,
@@ -271,6 +273,30 @@ def test_complete_is_memoised(name):
     sys = parse(CORPUS_TEXTS[name]).system
     assert complete(sys) is complete(sys)
     assert (complete(sys).final_system is sys) == (name == "example7")
+
+
+def test_complete_memo_is_weak_and_the_report_compares_by_its_fields():
+    # example7's report names the system itself: a strong memo entry would be
+    # a cycle, so releasing the report must leave nothing for the collector
+    gc.collect()
+    gc.disable()
+    try:
+        sys = parse(CORPUS_TEXTS["example7"]).system
+        report = complete(sys)
+        assert complete(sys) is report and report.final_system is sys
+        fields = (report.verdict, report.steps, report.trace, sys, 3, ((2, True), (3, True)), False)
+        assert report == IntegrabilityReport(*fields) and report != IntegrabilityReport(*fields[:-1], True)
+        assert repr(report) == (
+            "IntegrabilityReport(verdict='formally_integrable', steps=0, trace=(), "
+            "final_system=LinearSystem(n=4, m=1, order=2, eqs=4), acyclic_order=3, "
+            "projection_flags=((2, True), (3, True)), window_limited=False)"
+        )
+        del report, fields
+        assert sys._cache[("complete",)]() is None
+        del sys
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", [n for n in CORPUS_TEXTS if n != "example6_twisted"])

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import BENCH_TEXTS, CORPUS_TEXTS
 from formalpde.completion import complete
-from formalpde.hilbert import compare, hilbert_function, principal_class_series
+from formalpde.hilbert import PowerSeries, compare, hilbert_function, principal_class_series
 from formalpde.jetspace import monomial_count
 from formalpde.parser import parse
 from formalpde.pdesystem import LinearSystem, slice_at
@@ -18,6 +18,15 @@ def test_series_all_quadrics_is_binomial():
         assert series.coefficients[: n + 1] == tuple(comb(n, t) for t in range(n + 1))
         assert series.coefficients[n + 1 :] == (0, 0)
         assert series.total() == 2 ** n
+
+
+def test_power_series_checks_its_length_and_compares_by_its_fields():
+    series = principal_class_series([2], 1, 3)
+    assert series == PowerSeries((1, 1, 0, 0), 3) and hash(series) == hash(PowerSeries((1, 1, 0, 0), 3))
+    assert series != PowerSeries((1, 1, 0, 0, 0), 4) and series != (1, 1, 0, 0)
+    assert repr(series) == "PowerSeries(coefficients=(1, 1, 0, 0), truncation=3)"
+    with pytest.raises(ValueError, match="coefficient list does not match truncation"):
+        PowerSeries((1, 1), 3)
 
 
 def test_series_degrees_3_2():

@@ -82,6 +82,16 @@ def test_spencer_apply_commutes(corpus_systems):
                     )
 
 
+def test_section_drops_zero_coefficients_and_is_unhashable():
+    y, y1 = JetCoordinate(1, (0, 0)), JetCoordinate(1, (1, 0))
+    f = Section(1, {y: F(0), y1: F(2)})
+    assert f.coefficients == {y1: F(2)} and f and not Section(1, {y: F(0)})
+    assert f == Section(1, {y1: 2}) and f != Section(0, {y1: 2})
+    assert repr(f) == "Section(order=1, coefficients={JetCoordinate(k=1, mu=(1, 0)): Fraction(2, 1)})"
+    with pytest.raises(TypeError):
+        hash(f)
+
+
 def test_spencer_apply_kills_constants():
     sys = make_system(2, [("11", 1)], [("12", 1)], [("22", 1)])
     constant = Section(1, {JetCoordinate(1, (0, 0)): F(1)})

@@ -145,6 +145,22 @@ def test_change_coordinates_rejects_singular(rows):
         CoordinateChange(rows)
 
 
+def test_coordinate_change_converts_checks_and_compares_by_its_matrix():
+    ints = CoordinateChange(((1, 2), (0, 1)))
+    fractions = CoordinateChange(((F(1), F(2)), (F(0), F(1))))
+    assert all(type(x) is Fraction for row in ints.matrix for x in row)
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert {ints: "frame"}[fractions] == "frame"
+    assert ints != CoordinateChange.identity(2) and ints != ints.matrix
+    assert repr(ints) == (
+        "CoordinateChange(matrix=((Fraction(1, 1), Fraction(2, 1)), (Fraction(0, 1), Fraction(1, 1))))"
+    )
+    with pytest.raises(ValueError, match="coordinate change must be square"):
+        CoordinateChange(((1, 0),))
+    with pytest.raises(ValueError, match="singular coordinate change"):
+        CoordinateChange(((1, 2), (2, 4)))
+
+
 def test_coordinate_change_flag_is_a_reduced_basis_of_the_trailing_columns():
     rng = random.Random(0)
     half = [[F(i == j) + F(j == i + 1, 2) for j in range(4)] for i in range(4)]

@@ -17,10 +17,12 @@ from formalpde.ratlinalg import (
     _pdiv,
     divided,
     field_zero,
+    integer_row,
     kernel_basis,
     pivot_columns,
     poly_gcd,
     rank,
+    reduced_int,
     reduced_param,
     rref,
 )
@@ -649,3 +651,68 @@ def test_reduced_param_rows_share_one_pivot_entry_and_divide_to_the_oracle(m):
     expected = ExactMatrix.from_rows(expected, m.cols, 2)
     assert [list(r) for r in result.matrix.entries] == [list(r) for r in expected.entries]
     assert result == rref(m)
+
+
+# --- sympy oracle for the rank over QQ and QQ(chi_1, chi_2) ------------------
+
+_LARGE = st.builds(F, st.integers(-(10**30), 10**30), st.integers(10**20, 10**30))
+
+
+@st.composite
+def _qq_rank_cases(draw):
+    """QQ matrices up to 6x6: up to four drawn rows, then up to two zero,
+    duplicate, scaled or large-denominator rows inserted, the last a
+    combination of two rows with coefficients over 20-30 digit denominators."""
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(_QQ_ENTRIES, min_size=ncols, max_size=ncols), max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("zero", "duplicate", "scaled", "large")))
+        if kind == "zero" or not rows:
+            new = [F(0)] * ncols
+        elif kind == "duplicate":
+            new = list(draw(st.sampled_from(rows)))
+        elif kind == "scaled":
+            factor = draw(_QQ_ENTRIES)
+            new = [factor * x for x in draw(st.sampled_from(rows))]
+        else:
+            a, b, u, v = draw(_LARGE), draw(_LARGE), draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            new = [a * x + b * y for x, y in zip(u, v)]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_qq_rank_cases())
+def test_rank_and_reduced_int_pivots_match_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    rows, ncols = data
+    m = ExactMatrix(rows, cols=ncols)
+    expected = sympy.Matrix(len(rows), ncols, [x for r in rows for x in r]).rank()
+    assert rank(m) == len(reduced_int(map(integer_row, m.sparse))) == expected
+
+
+@st.composite
+def _chi2_rank_cases(draw):
+    """`_chi2_matrices` with a row a*u + b*v inserted, for two of its rows u, v
+    and coefficients a, b over c + chi_1 + chi_2: a dependent row whose
+    entries carry denominators the other rows do not."""
+    m = draw(_chi2_matrices())
+    if not m.rows:
+        return m
+    rows = [list(r) for r in m.entries]
+    a, b = (ParamScalar(draw(_CHI2_NUMERATORS), _chi2(draw(st.integers(1, 3)), 1, 1)) for _ in range(2))
+    u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+    rows.insert(draw(st.integers(0, len(rows))), [a * x + b * y for x, y in zip(u, v)])
+    return ExactMatrix(rows, cols=m.cols, params=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chi2_rank_cases())
+def test_reduced_param_pivots_match_sympy(m):
+    # zero tested by cancelling to lowest terms, exact over QQ(chi_1, chi_2)
+    sympy = pytest.importorskip("sympy")
+    chi = sympy.symbols("chi1 chi2")
+
+    entries = [sympy.Poly(x.num.terms, *chi) / sympy.Poly(x.den.terms, *chi) for r in m.entries for x in r]
+    expected = sympy.Matrix(m.rows, m.cols, entries).rank(iszerofunc=lambda e: sympy.cancel(e) == 0)
+    assert rank(m) == len(reduced_param(m.sparse)) == expected
