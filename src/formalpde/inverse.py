@@ -22,7 +22,8 @@ from typing import NamedTuple
 from . import jetspace as js
 from .jetspace import JetCoordinate
 from .pdesystem import LinearSystem, SlottedRecord, _full_rref, memoised, stable_order
-from .ratlinalg import ExactMatrix, ParamScalar, field_one, rank, rref
+from .ratlinalg import ExactMatrix, ParamScalar, field_one, integer_poly_row, integer_row, rref
+from .ratlinalg import _echelon_int, _echelon_param  # the closure extends one echelon basis
 
 SPENCER_SIGN_NOTE = "Spencer operator taken with Macaulay's sign: (d_i f)_mu = f_{mu+1_i}"
 
@@ -115,13 +116,14 @@ def _stabilized_order(sys: LinearSystem) -> int:
         raise ValueError("inverse system is infinite dimensional; apply relative localization first")
 
 
+@memoised
 def _nakayama(sys: LinearSystem):
     """(parametric jets, basis section lifting each jet, top jets) of a
-    finite-dimensional R: the top jets are the non-pivot coordinates of
-    m*R = sum_i d_i(R) in parametric-jet coordinates, the free columns of
-    :func:`_multiplication_rref`.  The stable order o has g_{o+1} = 0, so the
-    parametric jets at horizon o + 1 are those at o, and the section lifting
-    jet t is section t through order o + 1."""
+    finite-dimensional R, memoised, so read-only: the top jets are the
+    non-pivot coordinates of m*R = sum_i d_i(R) in parametric-jet coordinates,
+    the free columns of :func:`_multiplication_rref`.  The stable order o has
+    g_{o+1} = 0, so the parametric jets at horizon o + 1 are those at o, and
+    the section lifting jet t is section t through order o + 1."""
     pivots = set(_multiplication_rref(sys).pivots)
     parametric = multiplication_matrices(sys)[1]
     lifts = dict(zip(parametric, section_basis(sys, _stabilized_order(sys) + 1)))
@@ -136,12 +138,13 @@ def top_generators(sys: LinearSystem) -> list[ModularEquation]:
     classical single-dual-jet generator shapes.
     """
     _, lifts, top = _nakayama(sys)
-    return [ModularEquation(lifts[jc], sys.m, sys.var_offset) for jc in top]
+    return [ModularEquation(lifts[jc], sys.m, sys.params) for jc in top]
 
 
+@memoised
 def residue_map(sys: LinearSystem, order: int):
     """Residue of every jet through `order` as a sparse vector {t: value} over
-    the parametric jets, numbered by t in display order."""
+    the parametric jets, numbered by t in display order; memoised, so read-only."""
     result, columns = _full_rref(sys, order)
     free = sorted(set(range(len(columns))).difference(result.pivots), key=lambda j: js.display_key(columns[j]))
     place = {j: t for t, j in enumerate(free)}
@@ -191,39 +194,35 @@ def socle(sys: LinearSystem):
     return [{basis_jets[i]: v for i, v in vec.items()} for vec in kern.transpose().sparse]
 
 
+def _grow(sys: LinearSystem, basis, seed_jets) -> bool:
+    """Extend `basis`, an echelon basis of a d-stable subspace of R (a dict
+    over QQ, a list over QQ(chi)), to the closure of its span and the dual
+    basis sections of the parametric jets `seed_jets`; true when it grew.  A
+    vector's images under d_1..d_n are taken only when the vector joins the
+    basis: the images of a vector in the span are in the closure already.
+    """
+    mats, basis_jets = multiplication_matrices(sys)
+    extend, clear = (_echelon_param, integer_poly_row) if sys.params else (_echelon_int, integer_row)
+    one, size = field_one(sys.params), len(basis)
+    frontier = [{basis_jets.index(jc): one} for jc in seed_jets]
+    for v in frontier:  # images join the end of the list being read
+        before = len(basis)
+        if len(extend([clear(v)], basis=basis)) > before:
+            row = ExactMatrix.from_rows([v], len(basis_jets), sys.params)  # d_i v is the row v times m_i
+            frontier += [img for m in mats if (img := (row @ m).sparse[0])]
+    return len(basis) > size
+
+
 def derivative_closure_dimension(sys: LinearSystem, seed_jets) -> int:
     """Dimension of the smallest d-stable subspace of R containing the seeds.
 
     Seeds are parametric jets naming their dual basis sections.  The Spencer
     action on R in these coordinates is the transpose of multiplication on M,
-    so the closure is plain invariant-subspace growth.
+    so the closure is plain invariant-subspace growth (:func:`_grow`).
     """
-    mats, basis_jets = multiplication_matrices(sys)
-    width = len(basis_jets)
-    index = {jc: t for t, jc in enumerate(basis_jets)}
-    vectors = [{index[jc]: field_one(sys.params)} for jc in seed_jets]
-    current = rank(ExactMatrix.from_rows(vectors, width, sys.params))
-    frontier = list(vectors)
-    while frontier:
-        new = []
-        for v in frontier:
-            for m in mats:  # the transpose of m applied to v: row c of m scaled by v[c]
-                img = {}
-                for c, x in v.items():
-                    for r, y in m.sparse[c].items():
-                        img[r] = img[r] + y * x if r in img else y * x
-                img = {r: y for r, y in img.items() if y}
-                if img:
-                    new.append(img)
-        if not new:
-            break
-        grown = rank(ExactMatrix.from_rows(vectors + new, width, sys.params))
-        if grown == current:
-            break
-        vectors += new
-        frontier = new
-        current = grown
-    return current
+    basis = [] if sys.params else {}
+    _grow(sys, basis, seed_jets)
+    return len(basis)
 
 
 def generating_sections(sys: LinearSystem) -> list[ModularEquation]:
@@ -232,19 +231,17 @@ def generating_sections(sys: LinearSystem) -> list[ModularEquation]:
     Nakayama lifts (see :func:`top_generators`) are used first; when the
     derivations act invertibly the quotient R / m R vanishes although R does
     not, and the duals of the highest parametric jets are added until the
-    derivative closure fills R.  The classical localized one-generator
-    examples come out of the fallback.
+    derivative closure fills R: on one echelon basis, a jet is added exactly
+    when its dual section is outside the closure so far.  The classical
+    localized one-generator examples come out of the fallback.
     """
-    parametric, lifts, chosen = _nakayama(sys)
-    total = len(parametric)
-    current = derivative_closure_dimension(sys, chosen)
+    parametric, lifts, top = _nakayama(sys)
+    basis = [] if sys.params else {}
+    _grow(sys, basis, top)
+    chosen = list(top)
     for jc in reversed(parametric):
-        if current == total:
+        if len(basis) == len(parametric):
             break
-        if jc in chosen:
-            continue
-        grown = derivative_closure_dimension(sys, chosen + [jc])
-        if grown > current:
-            chosen, current = chosen + [jc], grown
-    chosen.sort(key=js.display_key)
-    return [ModularEquation(lifts[jc], sys.m, sys.var_offset) for jc in chosen]
+        if _grow(sys, basis, [jc]):
+            chosen.append(jc)
+    return [ModularEquation(lifts[jc], sys.m, sys.params) for jc in sorted(chosen, key=js.display_key)]

@@ -17,7 +17,6 @@ with a trailing number, like `z2`, addresses that unknown.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -263,4 +262,5 @@ def render(doc: SystemDocument) -> str:
 
 
 def digest(text: str) -> str:
+    import hashlib  # only the analyze and examples reports digest, so other commands skip loading it
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

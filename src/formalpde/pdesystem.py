@@ -73,8 +73,8 @@ class LinearSystem:
     """A linear system of PDEs for m unknowns in n independent variables.
 
     `params` is the number of scalar parameters chi_i (zero for plain QQ
-    coefficients); `var_offset` shifts displayed variable indices so that a
-    localized system in the trailing variables keeps its original digit names.
+    coefficients); over QQ(chi_1..chi_s) the system is a localization in the
+    trailing variables, displayed with their original digits, shifted by s.
 
     `_cache` is the one memo of all analyses of this system: :func:`memoised`
     keeps ``fn(sys, *args)`` under ``(fn.__name__, *args)``.  Entries depend
@@ -82,9 +82,9 @@ class LinearSystem:
     transformation returns a new system.
     """
 
-    __slots__ = ("n", "m", "equations", "params", "var_offset", "_cache")
+    __slots__ = ("n", "m", "equations", "params", "_cache")
 
-    def __init__(self, n: int, m: int, equations, params: int = 0, var_offset: int = 0):
+    def __init__(self, n: int, m: int, equations, params: int = 0):
         eqs = []
         for e in equations:
             if not isinstance(e, Equation):
@@ -101,7 +101,6 @@ class LinearSystem:
         self.m = m
         self.equations = tuple(eqs)
         self.params = params
-        self.var_offset = var_offset
         self._cache: dict = {}
 
     @property
@@ -109,7 +108,7 @@ class LinearSystem:
         return max((e.order for e in self.equations), default=0)
 
     def replace(self, equations) -> "LinearSystem":
-        return LinearSystem(self.n, self.m, equations, params=self.params, var_offset=self.var_offset)
+        return LinearSystem(self.n, self.m, equations, params=self.params)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearSystem):
@@ -447,11 +446,13 @@ def _symbol_rref(sys: LinearSystem, order: int):
     return (reduced_param if sys.params else reduced_int)(matrix.sparse), columns
 
 
+@memoised
 def stable_order(sys: LinearSystem) -> int:
     """Smallest t with dim R_t = dim R_{t+1} and vanishing symbol above t.
 
-    Raises when that does not happen by order 2q + n + 2, and at once when the
-    memo holds a seal: a sealed symbol is nonzero and involutive, so it never dies.
+    Memoised; a raise is not kept.  Raises when that does not happen by order
+    2q + n + 2, and at once when the memo holds a seal: a sealed symbol is
+    nonzero and involutive, so it never dies.
     """
     from .spencer import sealed_order, symbol_dim  # spencer imports this module
     if sealed_order(sys) is None:

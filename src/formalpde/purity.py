@@ -106,7 +106,7 @@ def _substituted(sys: LinearSystem, s: int) -> LinearSystem:
             add = ParamScalar(Poly(s, {prefix: Fraction(c)}))
             terms[local] = terms.get(local, ParamScalar.zero(s)) + add
         eqs.append(Equation(terms))
-    return LinearSystem(sys.n - s, sys.m, eqs, params=s, var_offset=s)
+    return LinearSystem(sys.n - s, sys.m, eqs, params=s)
 
 
 def _localized_order(loc: LocalizedSystem) -> int:

@@ -526,15 +526,15 @@ def _eliminate(row: dict, b: dict, c: int) -> dict:
     return _primitive(out) if a != 1 and out else out
 
 
-def _echelon_int(rows, cap: int | None = None) -> dict[int, dict]:
+def _echelon_int(rows, cap: int | None = None, basis: dict | None = None) -> dict[int, dict]:
     """Fraction-free forward elimination: {leading column: primitive row}.
 
     Each row is reduced by the stored row of its leading column until that
     column is new.  The leading columns of an echelon basis of a row space do
     not depend on the row order, so they are the pivots of the RREF.  With a
-    `cap`, no row is read once `cap` pivots are found.
+    `cap`, no row is read once `cap` pivots are found; a `basis` is extended.
     """
-    basis: dict[int, dict] = {}
+    basis = {} if basis is None else basis
     for row in rows:
         while row:
             p = min(row)
@@ -681,17 +681,17 @@ def _bareiss_step(row: dict, b: dict, c: int, prev: dict | None) -> dict:
     return out if prev is None else {x: _pdiv(t, prev) for x, t in out.items()}
 
 
-def _echelon_param(rows) -> list[tuple[int, dict]]:
+def _echelon_param(rows, basis: list | None = None) -> list[tuple[int, dict]]:
     """Row-wise fraction-free (Bareiss) forward elimination over integer
     polynomials: [(pivot column, row)] in insertion order.
 
     Each row is reduced against every basis row in turn, scaled even where it
     is already zero at that row's pivot, so it always holds minors.  A row that
     vanishes is dropped; a surviving one is zero at every earlier pivot and
-    joins with its leading column, so as in :func:`_echelon_int` the pivots
-    are those of the RREF.
+    joins with its leading column (a given `basis` is extended), so as in
+    :func:`_echelon_int` the pivots are those of the RREF.
     """
-    basis: list[tuple[int, dict]] = []
+    basis = [] if basis is None else basis
     for row in rows:
         prev = None
         for c, b in basis:

@@ -172,10 +172,11 @@ def test_report_json_byte_identical_across_processes(tmp_path):
 def test_cli_import_pulls_in_no_dataclasses_or_inspect():
     # start-up cost: `dataclasses` brings in `inspect`, `ast`, `dis` and
     # `tokenize`, a few milliseconds of every CLI call; the records are
-    # NamedTuples and slotted classes instead
+    # NamedTuples and slotted classes instead.  `hashlib` loads on the first
+    # report digest, so commands that print none never load it
     code = (
         "import sys; before = set(sys.modules); import formalpde.cli; "
-        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))"
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'hashlib', '_hashlib'} & (set(sys.modules) - before))))"
     )
     run = subprocess.run([_sys.executable, "-c", code], capture_output=True, check=True, env=_child_env(), text=True)
     assert run.stdout.strip() == ""

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
 
-from conftest import BENCH_TEXTS, CORPUS_TEXTS
+from conftest import BENCH_TEXTS, CORPUS_TEXTS, constant_coefficient_systems
+from formalpde import jetspace as js
 from formalpde.completion import complete
 from formalpde.hilbert import PowerSeries, compare, hilbert_function, principal_class_series
 from formalpde.jetspace import monomial_count
@@ -169,3 +171,35 @@ def test_hilbert_function_of_window_limited_system_counts_slices(monkeypatch):
     assert report.window_limited
     hilbert_function(final, 8)
     assert {("_full_rref", t) for t in range(9)} <= _full_rref_keys(final)
+
+
+def _groebner_hilbert_function(sys, truncation):
+    """Oracle for m = 1: the number of degree-t standard monomials of a grevlex
+    Groebner basis of the chi-polynomials, by sympy.  Grevlex refines the
+    degree, so the standard monomials of degree <= t span polynomials of degree
+    <= t modulo the ideal, whose dimension is dim R_t."""
+    sympy = pytest.importorskip("sympy")
+    chi = sympy.symbols(f"chi1:{sys.n + 1}")
+    polys = [sympy.Poly.from_dict({jc.mu: c for jc, c in e.terms.items()}, *chi) for e in sys.equations]
+    basis = sympy.groebner(polys, *chi, order="grevlex").polys if polys else []
+    leads = [g.monoms(order="grevlex")[0] for g in basis]
+
+    def standard(mu) -> bool:
+        return not any(all(a >= b for a, b in zip(mu, lead)) for lead in leads)
+
+    return tuple(sum(map(standard, js.multi_indices(sys.n, t))) for t in range(truncation + 1))
+
+
+@pytest.mark.parametrize("name", [name for name in TEXTS if parse(TEXTS[name]).system.m == 1])
+def test_hilbert_function_matches_groebner_standard_monomials(name):
+    raw = parse(TEXTS[name]).system
+    trunc = 2 * raw.order + raw.n + 3
+    assert hilbert_function(complete(raw).final_system, trunc).coefficients == _groebner_hilbert_function(raw, trunc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(constant_coefficient_systems().filter(lambda s: s.m == 1))
+def test_hilbert_function_of_random_systems_matches_groebner_standard_monomials(raw):
+    report = complete(raw)
+    assume(report.integrable)  # an inconclusive completion certifies no count
+    assert hilbert_function(report.final_system, 6).coefficients == _groebner_hilbert_function(raw, 6)

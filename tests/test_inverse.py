@@ -23,7 +23,7 @@ from formalpde.inverse import (
 from formalpde.jetspace import JetCoordinate
 from formalpde.parser import parse
 from formalpde.pdesystem import prolonged_equations, slice_at, stable_order
-from formalpde.ratlinalg import ExactMatrix, kernel_basis, rref
+from formalpde.ratlinalg import ExactMatrix, field_one, kernel_basis, rank, rref
 
 F = Fraction
 
@@ -292,7 +292,7 @@ def test_nakayama_matches_spencer_operator_construction(name):
         assert got_top == top, name
         assert lifts == by_jet, name
         assert [g.body() for g in top_generators(sys)] == [
-            ModularEquation(by_jet[jc], sys.m, sys.var_offset).body() for jc in top
+            ModularEquation(by_jet[jc], sys.m, sys.params).body() for jc in top
         ], name
         assert socle(sys) == _socle_by_kernel_basis(sys), name
 
@@ -323,3 +323,105 @@ def test_socle_after_top_generators_runs_no_elimination(name, monkeypatch):
         monkeypatch.setattr(ratlinalg, fn, recorded)
     assert socle(sys)
     assert eliminated == []
+
+
+def _closure_by_rank(sys, seed_jets):
+    """Oracle: the closure grown a round at a time, every image of every round
+    appended and the whole pile ranked again, until a round adds no rank."""
+    mats, basis_jets = multiplication_matrices(sys)
+    width = len(basis_jets)
+    index = {jc: t for t, jc in enumerate(basis_jets)}
+    vectors = [{index[jc]: field_one(sys.params)} for jc in seed_jets]
+    current = rank(ExactMatrix.from_rows(vectors, width, sys.params))
+    frontier = list(vectors)
+    while frontier:
+        new = []
+        for v in frontier:
+            for m in mats:  # the transpose of m applied to v: row c of m scaled by v[c]
+                img = {}
+                for c, x in v.items():
+                    for r, y in m.sparse[c].items():
+                        img[r] = img[r] + y * x if r in img else y * x
+                img = {r: y for r, y in img.items() if y}
+                if img:
+                    new.append(img)
+        if not new:
+            break
+        grown = rank(ExactMatrix.from_rows(vectors + new, width, sys.params))
+        if grown == current:
+            break
+        vectors += new
+        frontier = new
+        current = grown
+    return current
+
+
+def _generating_jets_by_rank(sys):
+    """Oracle: the Nakayama top jets, then each parametric jet from the highest
+    down whose addition grows the closure, each closure taken afresh."""
+    parametric, _, top = _nakayama(sys)
+    chosen, current = list(top), _closure_by_rank(sys, top)
+    for jc in reversed(parametric):
+        if current == len(parametric):
+            break
+        if jc in chosen:
+            continue
+        grown = _closure_by_rank(sys, chosen + [jc])
+        if grown > current:
+            chosen, current = chosen + [jc], grown
+    return sorted(chosen, key=js.display_key)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_TEXTS) + ["flagship"])
+def test_closure_on_one_echelon_basis_matches_rank_every_round(name):
+    # closure(C + {jc}) is larger than closure(C) exactly when jc is outside
+    # closure(C), so growing one basis chooses the jets the oracle loop chooses
+    text = BENCH_TEXTS["flagship"] if name == "flagship" else CORPUS_TEXTS[name]
+    for sys in _inverse_systems(text):
+        parametric, lifts, top = _nakayama(sys)
+        for seeds in [[jc] for jc in parametric] + [top, list(parametric)]:
+            assert derivative_closure_dimension(sys, seeds) == _closure_by_rank(sys, seeds), name
+        assert [g.body() for g in generating_sections(sys)] == [
+            ModularEquation(lifts[jc], sys.m, sys.params).body() for jc in _generating_jets_by_rank(sys)
+        ], name
+
+
+@pytest.mark.parametrize("name", ["example1", "example7", "example6_third"])
+def test_one_module_structure_per_system(name, monkeypatch):
+    # one residue map, one Nakayama reading and one stable order per system,
+    # and top generators read what generating_sections left in the memo
+    from formalpde import inverse, pdesystem, ratlinalg
+
+    for sys in _inverse_systems(CORPUS_TEXTS[name]):
+        o = stable_order(sys)
+        assert _nakayama(sys) is _nakayama(sys)
+        assert residue_map(sys, o + 1) is residue_map(sys, o + 1)
+        sliced = []
+        original_slice_at = pdesystem.slice_at
+        monkeypatch.setattr(pdesystem, "slice_at", lambda *args: sliced.append(args) or original_slice_at(*args))
+        assert stable_order(sys) == o and sliced == []
+        monkeypatch.undo()
+        generating_sections(sys)
+        eliminated = []
+        for module in (ratlinalg, inverse):
+            for fn in ("_echelon_int", "_echelon_param"):
+                original = getattr(ratlinalg, fn)
+
+                def recorded(*args, original=original, fn=fn, **kwargs):
+                    eliminated.append(fn)
+                    return original(*args, **kwargs)
+
+                monkeypatch.setattr(module, fn, recorded)
+        top_generators(sys)  # empty on a localized system, where R / m*R = 0
+        assert eliminated == []
+        monkeypatch.undo()
+
+
+def test_generating_sections_skip_a_jet_inside_the_closure():
+    # d acts invertibly, so R / m*R = 0: the dual of z2_1 spans the Jordan
+    # block of z2'' - 2 z2' + z2 = 0, so z2 is skipped and z1 is taken
+    sys = parse("vars=1; unknowns=2; eq: z2[1,1]-2*z2[1]+z2[]=0; eq: z1[1]-z1[]=0").system
+    parametric, lifts, top = _nakayama(sys)
+    jets = _generating_jets_by_rank(sys)
+    assert top == [] and len(parametric) == 3 and [js.jet_name(jc, 2) for jc in jets] == ["z1", "z2_1"]
+    assert [g.body() for g in generating_sections(sys)] == [ModularEquation(lifts[jc], 2).body() for jc in jets]
