@@ -8,6 +8,11 @@ obstructions to involution that the coordinate-dependent Janet tableau can
 miss.  Its ranks are taken over QQ on integer rows, and at exterior degree 0
 read off dim g_order by Euler's identity (:func:`_delta_rank`); only over
 QQ(chi) is the matrix built, on the exact kernel basis (:func:`delta_matrix`).
+At exterior degree 1 and order >= q, the system's order, no equation has
+order order + 1, so g_{order+1} is the first prolongation of g_order, the
+kernel of delta on Lambda^1 (x) g_order (Seiler 2010, *Involution*, ch. 6):
+the rank is n dim g_order - dim g_{order+1} over either field, with no
+matrix, and H^1 vanishes there.
 
 The numerical involution test is Cartan's: in some linear frame the count
 dim g_{order+1} = sum_i i*alpha_i must hold.  Equality in any frame implies
@@ -222,9 +227,15 @@ def _delta_rank(sys: LinearSystem, s: int, order: int) -> int:
     """Rank of :func:`delta_matrix` at Lambda^s (x) g_order over either field,
     over QQ on the integer rows of :func:`_delta_basis`.  At s = 0 it is dim
     g_order with no matrix (0 at order 0): delta w is the family of d_i w in
-    g_{order-1}, and if all vanish, order * w = sum_i x_i d_i w (Euler) is 0."""
+    g_{order-1}, and if all vanish, order * w = sum_i x_i d_i w (Euler) is 0.
+    At s = 1 and order >= q, the system's order, it is n dim g_order - dim
+    g_{order+1} with no matrix: no equation has order order + 1, so g_{order+1}
+    is the first prolongation of g_order, the kernel of delta on Lambda^1 (x)
+    g_order (Seiler 2010, *Involution*, ch. 6)."""
     if s == 0:
         return symbol_dim(sys, order) if order >= 1 else 0
+    if s == 1 and order >= sys.order:
+        return sys.n * symbol_dim(sys, order) - symbol_dim(sys, order + 1)
     if sys.params:
         return rank(delta_matrix(sys, s, order))
     return len(pivot_columns(_delta_rows(sys, s, order, *_delta_basis(sys, order))))
@@ -336,10 +347,11 @@ def _unimodular_draw(n: int, rng: random.Random) -> tuple:
     return tuple(map(tuple, a))
 
 
-@functools.lru_cache(maxsize=4)  # a run uses one seed and few variable counts
+@functools.cache  # a few hundred small integers per (n, seed), kept for the process
 def _frames(n: int, seed: int) -> tuple:
     """The N_FRAMES random unimodular integer matrices of the search, drawn
-    once per (n, seed); the search builds the frame of a matrix only when it wins."""
+    once per (n, seed) in a process; the search builds the frame of a matrix
+    only when it wins."""
     rng = random.Random(seed)
     return tuple(_unimodular_draw(n, rng) for _ in range(N_FRAMES))
 

@@ -11,10 +11,12 @@ characteristic minors are n x n), and two systems whose completion no
 order certifies (`analyze` exits 1 on them, the other commands print one
 line), plus `examples run all`, and `involution --order o` on each system
 for o = q..q+2 (q its order), whose frame searches run above the input
-order.  It also runs the `hilbert --degrees` series paths, with and without
-`--file`, and argument lists that exit 3 (a parse error, an unknown corpus
-entry, `hilbert` without `--file` or `--degrees`, a zero degree and a
-negative truncation).  Each run prints one line,
+order, and for o = q-1 when q >= 2, whose cohomology scan starts below the
+input order, where the degree-1 delta ranks are eliminated.  It also runs
+the `hilbert --degrees` series paths, with and without `--file`, and
+argument lists that exit 3 (a parse error, an unknown corpus entry,
+`hilbert` without `--file` or `--degrees`, a zero degree and a negative
+truncation).  Each run prints one line,
 
     <seed> <report mode> <command> <system> <sha256 of stdout, stderr, exit code>
 
@@ -91,7 +93,8 @@ def digests(seeds: list[int]):
                 for command, name, template in EXTRA_RUNS:
                     yield seed, mode, command, name, run_cli(flags + [a.format(**files) for a in template])
                 for name, path in paths.items():
-                    for order in range(orders[name], orders[name] + 3):
+                    q = orders[name]
+                    for order in range(q - 1 if q >= 2 else q, q + 3):
                         argv = flags + ["involution", "--order", str(order), str(path)]
                         yield seed, mode, f"involution-order{order}", name, run_cli(argv)
 

@@ -108,6 +108,24 @@ def symbol_oracle_systems() -> dict:
     return systems
 
 
+def localized_systems(text: str) -> list:
+    """Every QQ(chi) system that `is_pure` localizes to on `text`, each once."""
+    from formalpde import purity
+
+    systems, localize = [], purity.localize
+
+    def recorded(sys, r):
+        loc = localize(sys, r)
+        if loc.params and all(loc.system is not s for s in systems):
+            systems.append(loc.system)
+        return loc
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(purity, "localize", recorded)
+        purity.is_pure(parse(text).system)
+    return systems
+
+
 @pytest.fixture
 def corpus_systems():
     # freshly parsed for every test, so no test sees the memo another left

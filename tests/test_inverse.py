@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import BENCH_TEXTS, CORPUS_TEXTS, make_system
+from conftest import BENCH_TEXTS, CORPUS_TEXTS, localized_systems, make_system
 from formalpde import jetspace as js
 from formalpde.completion import complete
 from formalpde.inverse import (
@@ -256,27 +256,12 @@ def _socle_by_kernel_basis(sys):
 def _inverse_systems(text):
     """The completed system when it is finite type, then every QQ(chi)
     system that `is_pure` localizes to."""
-    from formalpde import purity
-
     final = complete(parse(text).system).final_system
-    systems = []
     try:
         stable_order(final)
-        systems.append(final)
     except ValueError:
-        pass
-    localize = purity.localize
-
-    def recorded(sys, r):
-        loc = localize(sys, r)
-        if loc.params and all(loc.system is not s for s in systems):
-            systems.append(loc.system)
-        return loc
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(purity, "localize", recorded)
-        purity.is_pure(parse(text).system)
-    return systems
+        return localized_systems(text)
+    return [final] + localized_systems(text)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_TEXTS) + ["flagship"])

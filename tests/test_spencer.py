@@ -13,6 +13,7 @@ from conftest import (
     CORPUS_TEXTS,
     constant_coefficient_systems,
     killing_text,
+    localized_systems,
     make_system,
     symbol_oracle_systems,
 )
@@ -322,6 +323,8 @@ def _check_delta_ranks(sys):
             assert _delta_rank(sys, s, order) == expected, (s, order)
             if s == 0:
                 assert expected == (symbol_dim(sys, order) if order else 0), order
+            if s == 1 and order >= sys.order:  # g_{order+1} is the first prolongation of g_order
+                assert expected == sys.n * symbol_dim(sys, order) - symbol_dim(sys, order + 1), order
 
 
 @settings(max_examples=40, deadline=None)
@@ -343,6 +346,16 @@ def test_delta_rank_matches_the_exact_matrix(name):
     _check_delta_ranks(parse(DELTA_TEXTS[name]).system)
 
 
+@pytest.mark.parametrize("name", ["localized", "example2", "example8", "example6_third"])
+def test_delta_rank_matches_the_exact_matrix_over_qq_chi(name):
+    # example6_third's localized symbol is nonzero at its own order, so the
+    # s = 1 rank there is read off the first prolongation over QQ(chi)
+    systems = [symbol_oracle_systems()["localized"]] if name == "localized" else localized_systems(CORPUS_TEXTS[name])
+    assert systems
+    for sys in systems:
+        _check_delta_ranks(sys)
+
+
 def test_two_unknown_involution_ranks_delta_without_a_matrix(monkeypatch):
     # the frame search fails and the delta-cohomology scan decides, on integer
     # rows; the s = 0 ranks are the symbol dimensions, with no elimination
@@ -360,6 +373,23 @@ def test_two_unknown_involution_ranks_delta_without_a_matrix(monkeypatch):
     _count_calls(monkeypatch, ratlinalg, "pivot_columns", calls)
     assert [_delta_rank(fresh, 0, o) for o in orders] == [d if o else 0 for o, d in zip(orders, dims)]
     assert calls == []
+
+
+def test_degree_one_delta_ranks_at_or_above_the_system_order_build_no_matrix(monkeypatch):
+    # at s = 1 and order >= q the rank is n dim g_order - dim g_{order+1}:
+    # the two-unknown scan and the five-var completion build delta rows only
+    # at s >= 2 there
+    from formalpde import spencer
+    from formalpde.completion import complete
+
+    calls = []
+    _count_calls(monkeypatch, spencer, "_delta_rows", calls)
+    _count_calls(monkeypatch, spencer, "delta_matrix", calls)
+    assert is_involutive_symbol(parse(BENCH_TEXTS["two-unknown"]).system).certificate.method == "cohomology"
+    assert complete(parse(BENCH_TEXTS["five-var"]).system).integrable
+    spots = [(args[1], args[2], args[0].order) for _, args in calls]
+    assert any(s >= 2 for s, _, _ in spots), "the counter sees the delta rows of higher degrees"
+    assert not [(s, o, q) for s, o, q in spots if s == 1 and o >= q]
 
 
 def _count_calls(monkeypatch, module, name, calls):
@@ -779,6 +809,22 @@ def test_random_frames_are_drawn_only_when_the_identity_fails(monkeypatch):
     assert (res.certificate.method, res.certificate.frames_tried, drawn) == ("cartan", 0, [])
     res = is_involutive_symbol(parse(BENCH_TEXTS["two-unknown"]).system)
     assert (res.certificate.frames_tried, drawn) == (N_FRAMES, [(4, 0)])
+
+
+def test_frames_are_drawn_once_per_seed_in_a_process(tmp_path, capsys):
+    # two rounds of involution on two-unknown over the 8 seeds of the
+    # benchmark: each (n, seed) draws its frames once
+    from formalpde import spencer
+    from formalpde.cli import main
+
+    path = tmp_path / "two-unknown.pde"
+    path.write_text(BENCH_TEXTS["two-unknown"], encoding="utf-8")
+    spencer._frames.cache_clear()
+    for _ in range(2):
+        for seed in range(8):
+            assert main(["--seed", str(seed), "--report", "json", "involution", str(path)]) == 0
+    capsys.readouterr()
+    assert spencer._frames.cache_info().misses == 8
 
 
 def test_frame_search_builds_and_ranks_only_frames_that_can_win(monkeypatch, tmp_path, capsys):
