@@ -228,7 +228,7 @@ def cmd_hilbert(args) -> int:
             print(f"invalid --degrees {args.degrees!r}: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
     if doc is not None:
-        completion = complete(doc.system)  # held, so hilbert_function's complete() is a memo hit
+        completion = complete(doc.system)
         if not completion.integrable:
             return _inconclusive("completion inconclusive; Hilbert function undecided")
         counted = hilbert_function(completion.final_system, args.trunc)

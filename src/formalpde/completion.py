@@ -14,11 +14,10 @@ presentation off the same memo, as a projection of negative step.
 from __future__ import annotations
 
 import itertools
-import weakref
 from typing import NamedTuple
 
 from . import jetspace as js
-from .pdesystem import LinearSystem, SlottedRecord, _full_rref, memoised, projected_system, slice_at
+from .pdesystem import LinearSystem, _full_rref, memoised, projected_system, slice_at
 from .ratlinalg import Poly, field_zero
 from .spencer import is_involutive_symbol, is_s_acyclic, stabilization_window
 
@@ -30,11 +29,10 @@ class CompletionStep(NamedTuple):
     dims_after: tuple
 
 
-class IntegrabilityReport(SlottedRecord):
+class IntegrabilityReport(NamedTuple):
     """'formally_integrable' if the input takes no step, 'completed' after `steps`
-    projections, 'window_inconclusive' if no rho in the window of the final
-    system has g_rho 2-acyclic and every R_{r+1} -> R_r, q <= r <= rho, onto.
-    Slotted with a weak reference, by which :func:`complete` memoises it."""
+    projections, 'window_inconclusive' if no rho in the window of the input
+    has g_rho 2-acyclic and every R_{r+1} -> R_r, q <= r <= rho, onto."""
 
     verdict: str  # 'formally_integrable' | 'completed' | 'window_inconclusive'
     steps: int
@@ -43,13 +41,6 @@ class IntegrabilityReport(SlottedRecord):
     acyclic_order: int | None
     projection_flags: tuple  # ((order, surjective), ...)
     window_limited: bool
-    _fields = ("verdict", "steps", "trace", "final_system", "acyclic_order", "projection_flags", "window_limited")
-    __slots__ = (*_fields, "__weakref__")
-
-    def __init__(self, verdict, steps, trace, final_system, acyclic_order, projection_flags, window_limited):
-        self.verdict, self.steps, self.trace, self.final_system = verdict, steps, trace, final_system
-        self.acyclic_order, self.projection_flags = acyclic_order, projection_flags
-        self.window_limited = window_limited
 
     @property
     def integrable(self) -> bool:
@@ -112,53 +103,43 @@ def complete(sys: LinearSystem) -> IntegrabilityReport:
 
     A step that gains shrinks some R_t, t <= q, and grows none, so there are
     at most sum_{t<=q} dim R_t of the input steps and the loop needs no cap.
-    The certification walks rho upward from the final order looking for a
-    2-acyclic symbol with surjective projections below; when a projection
-    fails or the window runs out the verdict is 'window_inconclusive'.
-    Memoised in the system's cache by weak reference, not by `memoised`: the
-    report of a system that needs no change names the system itself, and a
-    strong entry would form a cycle that only the cyclic collector frees.
-    A report is computed again only when no caller holds it any more.
+    Every projection and test is memoised on the system it starts from, and
+    so is the :func:`_certificate` of the final system, which is read in the
+    window of the input: `reduce_order` may lower the order.
     """
-    report = sys._cache[("complete",)]() if ("complete",) in sys._cache else None
-    if report is None:
-        report = _completion(sys)
-        sys._cache[("complete",)] = weakref.ref(report)
-    return report
-
-
-def _completion(sys: LinearSystem) -> IntegrabilityReport:
-    if not sys.equations:
-        return IntegrabilityReport("formally_integrable", 0, (), sys, 0, ((0, True),), False)
     current = sys
     trace = []
-    window = stabilization_window(sys)
     while not is_completed(current):
         q, nxt = current.order, projected_system(current, 1)
         gained = _gained_equations(current, nxt)
         trace.append(CompletionStep(len(trace) + 1, gained, _dims_upto(current, q), _dims_upto(nxt, q)))
         current = nxt
     current = reduce_order(current)
-    q = current.order
-    flags = []
-    acyclic_order = None
-    window_limited = False
-    for rho in range(q, q + window + 1):
-        flags.append((rho, projection_surjective(current, rho)))
-        if not flags[-1][1]:
-            break
-        ok, limited = is_s_acyclic(current, 2, rho, window)
-        if ok:
-            acyclic_order = rho
-            window_limited = limited
-            break
+    acyclic_order, flags, window_limited = _certificate(current, stabilization_window(sys))
     if acyclic_order is None:
         verdict = "window_inconclusive"
     else:
         verdict = "completed" if trace else "formally_integrable"
-    return IntegrabilityReport(
-        verdict, len(trace), tuple(trace), current, acyclic_order, tuple(flags), window_limited
-    )
+    return IntegrabilityReport(verdict, len(trace), tuple(trace), current, acyclic_order, flags, window_limited)
+
+
+@memoised
+def _certificate(sys: LinearSystem, window: int) -> tuple:
+    """(acyclic_order, projection_flags, window_limited) of the integrability
+    criterion: walk rho upward from q to the first 2-acyclic g_rho, stopping
+    at a projection R_{rho+1} -> R_rho that is not onto or at the window's end
+    (acyclic_order None)."""
+    if not sys.equations:
+        return 0, ((0, True),), False
+    flags = []
+    for rho in range(sys.order, sys.order + window + 1):
+        flags.append((rho, projection_surjective(sys, rho)))
+        if not flags[-1][1]:
+            break
+        ok, limited = is_s_acyclic(sys, 2, rho, window)
+        if ok:
+            return rho, tuple(flags), limited
+    return None, tuple(flags), False
 
 
 @memoised

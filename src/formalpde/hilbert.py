@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .completion import complete
+from .completion import _certificate
 from .jetspace import monomial_count
 from .pdesystem import LinearSystem, SlottedRecord, slice_at
-from .spencer import symbol_dim
+from .spencer import stabilization_window, symbol_dim
 
 
 class PowerSeries(SlottedRecord):
@@ -61,13 +61,14 @@ def principal_class_series(degrees, n: int, truncation: int) -> PowerSeries:
 def hilbert_function(sys: LinearSystem, truncation: int) -> PowerSeries:
     """Counted parametric jets per strict order: dim R_t - dim R_{t-1}.
 
-    When the completion certifies `sys` itself, with no window cut-off, as
-    formally integrable of order q, each projection R_t -> R_{t-1}, t > q, is
-    onto with kernel g_t (Seiler 2010, *Involution*, ch. 2): the count is then
-    dim g_t, from the memoised symbol ranks, not a prolonged elimination."""
-    report = complete(sys)
-    certified = report.verdict == "formally_integrable" and not report.window_limited
-    top = sys.order if certified and report.final_system is sys else truncation
+    When the integrability criterion certifies `sys` itself, with no window
+    cut-off, as formally integrable of order q, each projection
+    R_t -> R_{t-1}, t > q, is onto with kernel g_t (Seiler 2010, *Involution*,
+    ch. 2): the count is then dim g_t, from the memoised symbol ranks, not a
+    prolonged elimination.  The certificate is :func:`_certificate` of `sys`
+    in its own window, memoised on `sys`; no completion runs here."""
+    acyclic_order, _, window_limited = _certificate(sys, stabilization_window(sys))
+    top = sys.order if acyclic_order is not None and not window_limited else truncation
     coeffs = []
     prev = 0
     for t in range(min(top, truncation) + 1):

@@ -58,9 +58,9 @@ def _tokenize(text: str) -> list[Token]:
             while i < len(text) and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i

@@ -191,11 +191,7 @@ class CoordinateChange(SlottedRecord):
     __slots__ = _fields = ("matrix",)
 
     def __init__(self, matrix: tuple):
-        self.matrix = matrix
-        self.__post_init__()
-
-    def __post_init__(self):
-        self.matrix = a = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
+        self.matrix = a = tuple(tuple(Fraction(x) for x in row) for row in matrix)
         if any(len(row) != len(a) for row in a):
             raise ValueError("coordinate change must be square")
         for _ in flag_levels(a):

@@ -9,8 +9,9 @@ prolongation (z1 = 0 forces z1_13 = 0 and so z2 = 0), and the flat Killing
 and conformal Killing systems for n = 2-5 (m = n unknowns, so their
 characteristic minors are n x n), and two systems whose completion no
 order certifies (`analyze` exits 1 on them, the other commands print one
-line), plus `examples run all`, and `involution --order o` on each system
-for o = q..q+2 (q its order), whose frame searches run above the input
+line), the system with no equation and the order-0 system y = 0, plus
+`examples run all`, and `involution --order o` on each system for
+o = q..q+2 (q its order), whose frame searches run above the input
 order, and for o = q-1 when q >= 2, whose cohomology scan starts below the
 input order, where the degree-1 delta ranks are eliminated.  It also runs
 the `hilbert --degrees` series paths, with and without `--file`, and
@@ -54,6 +55,8 @@ INCONCLUSIVE_TEXTS = {
     "inconclusive1": "vars=2; eq: y[1,2,2]=0; eq: y[2,2]-2*y[1,1,1]=0\n",
     "inconclusive2": "vars=3; unknowns=2; eq: z1[3,3]=0; eq: z1[1,2]-2*z2[1]=0\n",
 }
+# no equation, and order 0: the trivial branches of the completion and the involution test
+TRIVIAL_TEXTS = {"empty": "vars=2;\n", "order-zero": "vars=2; eq: y[]=0;\n"}
 BAD_TEXT = "vars=2; eq: y[1,=0\n"
 # (command, system, argv) of the runs outside COMMANDS; {name} is the path of that text
 EXTRA_RUNS = [
@@ -72,6 +75,7 @@ def digests(seeds: list[int]):
     """(seed, mode, command, system, digest) of every run, in a fixed order."""
     texts = {**CORPUS_TEXTS, **BENCH_TEXTS, "six-var": SIX_VAR_TEXT, "hidden-zero": HIDDEN_ZERO_TEXT}
     texts.update(INCONCLUSIVE_TEXTS)
+    texts.update(TRIVIAL_TEXTS)
     for n in range(2, 6):
         texts[f"killing{n}"] = killing_text(n)
         texts[f"conformal-killing{n}"] = killing_text(n, conformal=True)

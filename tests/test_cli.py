@@ -123,6 +123,21 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert main(["analyze", str(f)]) == EXIT_PARSE_ERROR
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("vars=2; eq: y[1,²]=0\n", 17), ("vars=2; eq: ²*y[1]=0\n", 13)],
+    ids=["in-index", "as-coefficient"],
+)
+def test_cli_superscript_digit_is_a_parse_error(text, column, tmp_path, capsys):
+    # '²' is a digit to str.isdigit but not to int(): it must not reach int()
+    f = tmp_path / "superscript.pde"
+    f.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(f)]) == EXIT_PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"parse error: unexpected character '²' (line 1, column {column})"]
+
+
 def test_cli_purity_example8(tmp_path, capsys):
     # the classical frame change is applied in the source text
     f = tmp_path / "ex8.pde"
@@ -215,7 +230,7 @@ def test_report_bytes_do_not_depend_on_the_memo(name):
     # example3 report differs from seed to seed, the flagship's does not.
     text = CORPUS_TEXTS[name]
     shared = parse(text).system
-    completion = complete(shared)  # held, so the completed system and its memo persist
+    completion = complete(shared)
 
     def report_bytes(system, seed):
         return json.dumps(build_report(text, system, seed=seed), sort_keys=True, indent=2, ensure_ascii=False)
@@ -224,7 +239,7 @@ def test_report_bytes_do_not_depend_on_the_memo(name):
         fresh = report_bytes(parse(text).system, seed)
         assert report_bytes(shared, seed) == fresh
         assert report_bytes(shared, seed) == fresh
-    assert complete(shared) is completion
+    assert complete(shared) == completion
 
 
 @pytest.mark.parametrize(

@@ -268,22 +268,31 @@ def test_codimension_invariant_under_frames(corpus_systems):
 
 
 @pytest.mark.parametrize("name", ["example3", "example7"])
-def test_complete_is_memoised(name):
-    # example7 is already complete, so its report names the system itself
+def test_complete_is_memoised(name, monkeypatch):
+    # example7 is already complete, so its report names the system itself.
+    # Every projection, test and certificate is memoised on the system it
+    # starts from, so a repeated completion eliminates nothing
+    from formalpde import pdesystem, ratlinalg
+
     sys = parse(CORPUS_TEXTS[name]).system
-    assert complete(sys) is complete(sys)
-    assert (complete(sys).final_system is sys) == (name == "example7")
+    report = complete(sys)
+    calls = []
+    for module in (pdesystem, ratlinalg):
+        for fn in ("rref", "reduced_int", "reduced_param"):
+            _count_calls(monkeypatch, module, fn, calls)
+    assert complete(sys) == report and calls == []
+    assert (report.final_system is sys) == (name == "example7")
 
 
 def test_complete_memo_is_weak_and_the_report_compares_by_its_fields():
-    # example7's report names the system itself: a strong memo entry would be
-    # a cycle, so releasing the report must leave nothing for the collector
+    # example7's report names the system itself, and no memo keeps the
+    # report: releasing both must leave nothing for the cyclic collector
     gc.collect()
     gc.disable()
     try:
         sys = parse(CORPUS_TEXTS["example7"]).system
         report = complete(sys)
-        assert complete(sys) is report and report.final_system is sys
+        assert complete(sys) == report and report.final_system is sys
         fields = (report.verdict, report.steps, report.trace, sys, 3, ((2, True), (3, True)), False)
         assert report == IntegrabilityReport(*fields) and report != IntegrabilityReport(*fields[:-1], True)
         assert repr(report) == (
@@ -291,12 +300,16 @@ def test_complete_memo_is_weak_and_the_report_compares_by_its_fields():
             "final_system=LinearSystem(n=4, m=1, order=2, eqs=4), acyclic_order=3, "
             "projection_flags=((2, True), (3, True)), window_limited=False)"
         )
-        del report, fields
-        assert sys._cache[("complete",)]() is None
-        del sys
+        assert ("complete",) not in sys._cache
+        del report, fields, sys
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(name) or fn(*args))
 
 
 @pytest.mark.parametrize("name", [n for n in CORPUS_TEXTS if n != "example6_twisted"])

@@ -173,6 +173,27 @@ def test_hilbert_function_of_window_limited_system_counts_slices(monkeypatch):
     assert {("_full_rref", t) for t in range(9)} <= _full_rref_keys(final)
 
 
+@pytest.mark.parametrize("name, truncation, counts", [
+    ("example5_rprime", 4, (1, 3, 3, 1, 0)),
+    ("example6_twisted", 6, (1, 3, 3, 3, 3, 3, 3)),
+])
+def test_hilbert_function_runs_no_completion(name, truncation, counts, monkeypatch):
+    # it reads the integrability certificate of the system it is given: raw
+    # example5 R' is certified as given, and example6_twisted's final system,
+    # a reduced presentation of lower order, is window-limited
+    from formalpde import completion, pdesystem
+
+    sys = parse(CORPUS_TEXTS[name]).system
+    if name == "example6_twisted":
+        sys = complete(sys).final_system
+    calls = []
+    for module, fn in ((completion, "projected_system"), (pdesystem, "projected_system"), (completion, "is_completed")):
+        original = getattr(module, fn)
+        monkeypatch.setattr(module, fn, lambda *args, _fn=fn, _orig=original: calls.append(_fn) or _orig(*args))
+    assert hilbert_function(sys, truncation).coefficients == counts
+    assert calls == []
+
+
 def _groebner_hilbert_function(sys, truncation):
     """Oracle for m = 1: the number of degree-t standard monomials of a grevlex
     Groebner basis of the chi-polynomials, by sympy.  Grevlex refines the

@@ -433,8 +433,7 @@ def test_report_after_involution_test_builds_no_delta_map(name, monkeypatch):
     sys = parse(text).system
     calls = []
     _count_calls(monkeypatch, spencer, "_delta_rows", calls)
-    completion = complete(sys)  # held, so the completed system and its memo persist
-    final = completion.final_system
+    final = complete(sys).final_system  # memoised on sys, through its projections
     assert is_involutive_symbol(final).certificate.method == "cohomology"
     assert calls, "the counter sees the delta maps of the first analysis"
     calls.clear()
@@ -868,10 +867,10 @@ def test_frame_search_builds_and_ranks_only_frames_that_can_win(monkeypatch, tmp
     assert ties and any(expected[d] for d in draws)
 
     built, levels, current = [], {}, [None]
-    post_init, flag_ranks, flag_rank = CoordinateChange.__post_init__, spencer._flag_ranks, spencer._flag_rank
+    init, flag_ranks, flag_rank = CoordinateChange.__init__, spencer._flag_ranks, spencer._flag_rank
 
-    def spy_post_init(self):
-        post_init(self)
+    def spy_init(self, matrix):
+        init(self, matrix)
         built.append(self.matrix)
 
     def spy_flag_ranks(sys, order, a):
@@ -890,7 +889,7 @@ def test_frame_search_builds_and_ranks_only_frames_that_can_win(monkeypatch, tmp
             levels[current[0]].append(n + 1 - len(basis))
         return flag_rank(rows, columns, m, degree, basis)
 
-    monkeypatch.setattr(pdesystem.CoordinateChange, "__post_init__", spy_post_init)
+    monkeypatch.setattr(pdesystem.CoordinateChange, "__init__", spy_init)
     monkeypatch.setattr(spencer, "_flag_ranks", spy_flag_ranks)
     monkeypatch.setattr(spencer, "_flag_rank", spy_flag_rank)
     path = tmp_path / "two-unknown.pde"
