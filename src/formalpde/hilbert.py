@@ -8,6 +8,7 @@ order) is treated as ground truth; the series is the claim under test.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 from .completion import _certificate
@@ -65,8 +66,10 @@ def hilbert_function(sys: LinearSystem, truncation: int) -> PowerSeries:
     cut-off, as formally integrable of order q, each projection
     R_t -> R_{t-1}, t > q, is onto with kernel g_t (Seiler 2010, *Involution*,
     ch. 2): the count is then dim g_t, from the memoised symbol ranks, not a
-    prolonged elimination.  The certificate is :func:`_certificate` of `sys`
-    in its own window, memoised on `sys`; no completion runs here."""
+    prolonged elimination, and it stops at the first vanished symbol, as
+    g_t = 0 forces g_{t+1} = 0: the higher counts are 0 with no symbol built.
+    The certificate is :func:`_certificate` of `sys` in its own window,
+    memoised on `sys`; no completion runs here."""
     acyclic_order, _, window_limited = _certificate(sys, stabilization_window(sys))
     top = sys.order if acyclic_order is not None and not window_limited else truncation
     coeffs = []
@@ -75,7 +78,8 @@ def hilbert_function(sys: LinearSystem, truncation: int) -> PowerSeries:
         cur = slice_at(sys, t).dimension
         coeffs.append(cur - prev)
         prev = cur
-    coeffs += [symbol_dim(sys, t) for t in range(top + 1, truncation + 1)]
+    coeffs += itertools.takewhile(bool, (symbol_dim(sys, t) for t in range(top + 1, truncation + 1)))
+    coeffs += [0] * (truncation + 1 - len(coeffs))
     return PowerSeries(tuple(coeffs), truncation)
 
 

@@ -43,12 +43,16 @@ involution certificate (the identity, then the random frames): it keeps the
 tableau with beta[::-1] lexicographically largest, the first met among
 equals, until one attains the Cartan count, a function of beta
 (:func:`_frame_search`).  As rank_k = sum_{i >= k} beta_i, a frame's walk is
-compared with the best's ranks from L_n down until a rank differs, or until
-the best's is r, past which the frame can only tie; only a winner finishes
-its walk and becomes a :class:`CoordinateChange`.  A frame that attains the
-count is delta-regular, its ranks the generic maxima on every L_k (Seiler
-2010, *Involution*), so it outranks an identity that fails: the seal needs
-A(2)'s full tableau only when A(2) wins.
+compared with the best's ranks from L_n down until a rank differs, and only
+on levels where a frame can still outrank the best: down to the last L_k
+whose best rank is below its cap min(r, C_k).  Past it a frame's ranks can
+only tie or lose, and a tie keeps the best met first, so the search picks
+the frame the unpruned one picks; a frame with no such level is counted
+and not ranked.  L_1's cap is r, so no walk passes a best rank r.  Only a
+winner finishes its walk and becomes a :class:`CoordinateChange`.  A frame
+that attains the count is delta-regular, its ranks the generic maxima on
+every L_k (Seiler 2010, *Involution*), so it outranks an identity that
+fails: the seal needs A(2)'s full tableau only when A(2) wins.
 """
 
 from __future__ import annotations
@@ -370,15 +374,25 @@ def _frame_search(sys: LinearSystem, order: int, draws) -> tuple:
     """(best, tried): from the identity frame's tableau at `order`, the best
     over the matrices of `draws()`, which is called only if the identity
     misses the Cartan count and read until the best attains it; `tried`
-    counts the matrices read."""
+    counts the matrices read.  A rank on L_k is at most its cap min(r, C_k),
+    so a walk stops past the last level where the best's rank is below its
+    cap: below it a frame can only tie or lose, and a tie keeps the best met
+    first.  A matrix read while the best is capped everywhere is not ranked."""
     dim_next = symbol_dim(sys, order + 1)
     best, tried = janet_tableau(sys, order), 0
     if best.multiplicative_sum == dim_next:
         return best, tried
     r = sum(best.beta)  # rank_1 in every frame
-    targets = [t for t in itertools.accumulate(reversed(best.beta)) if t < r]  # the best's ranks below r
+    caps = [min(r, sys.m * js.monomial_count(k, order)) for k in range(1, sys.n + 1)]  # on L_n, ..., L_1
+
+    def open_targets(ranks: list) -> list:  # down to the last rank below its cap
+        return ranks[: max((k + 1 for k in range(sys.n) if ranks[k] < caps[k]), default=0)]
+
+    targets = open_targets(list(itertools.accumulate(reversed(best.beta))))
     for draw in draws():
         tried += 1
+        if not targets:
+            continue
         walk, ranks = _flag_ranks(sys, order, draw), []
         for target, rank_k in zip(targets, walk):
             ranks.append(rank_k)
@@ -386,7 +400,7 @@ def _frame_search(sys: LinearSystem, order: int, draws) -> tuple:
                 break
         if ranks > targets[: len(ranks)]:
             ranks += walk
-            best, targets = _tableau(sys, order, ranks, CoordinateChange(draw)), [t for t in ranks if t < r]
+            best, targets = _tableau(sys, order, ranks, CoordinateChange(draw)), open_targets(ranks)
             if best.multiplicative_sum == dim_next:
                 break
     return best, tried

@@ -14,10 +14,12 @@ line), the system with no equation and the order-0 system y = 0, plus
 o = q..q+2 (q its order), whose frame searches run above the input
 order, and for o = q-1 when q >= 2, whose cohomology scan starts below the
 input order, where the degree-1 delta ranks are eliminated.  It also runs
-the `hilbert --degrees` series paths, with and without `--file`, and
-argument lists that exit 3 (a parse error, an unknown corpus entry,
-`hilbert` without `--file` or `--degrees`, a zero degree and a negative
-truncation).  Each run prints one line,
+the `hilbert --degrees` series paths, with and without `--file`,
+`analyze --trunc 30` and `hilbert --file --trunc 30` on the flagship and
+five-variable inputs, whose counts run far past their first vanished
+symbol, and argument lists that exit 3 (a parse error, an unknown corpus
+entry, `hilbert` without `--file` or `--degrees`, a zero degree and a
+negative truncation).  Each run prints one line,
 
     <seed> <report mode> <command> <system> <sha256 of stdout, stderr, exit code>
 
@@ -63,6 +65,10 @@ EXTRA_RUNS = [
     ("hilbert-series", "vars3", ["hilbert", "--vars", "3", "--degrees", "3,2", "--trunc", "6"]),
     ("hilbert-degrees", "example3", ["hilbert", "--file", "{example3}", "--degrees", "2,3", "--trunc", "7"]),
     ("hilbert-degrees", "inconclusive1", ["hilbert", "--file", "{inconclusive1}", "--degrees", "3,3"]),
+    ("analyze-trunc30", "flagship", ["analyze", "--trunc", "30", "{flagship}"]),
+    ("analyze-trunc30", "five-var", ["analyze", "--trunc", "30", "{five-var}"]),
+    ("hilbert-trunc30", "flagship", ["hilbert", "--file", "{flagship}", "--trunc", "30"]),
+    ("hilbert-trunc30", "five-var", ["hilbert", "--file", "{five-var}", "--trunc", "30"]),
     ("exit3", "parse-error", ["analyze", "{bad}"]),
     ("exit3", "examples-nosuch", ["examples", "run", "nosuch"]),
     ("exit3", "hilbert-no-source", ["hilbert", "--vars", "3"]),

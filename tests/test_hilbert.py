@@ -173,6 +173,22 @@ def test_hilbert_function_of_window_limited_system_counts_slices(monkeypatch):
     assert {("_full_rref", t) for t in range(9)} <= _full_rref_keys(final)
 
 
+@pytest.mark.parametrize("name, truncation, vanished, counts", [
+    ("flagship", 60, 5, (1, 4, 6, 4, 1)),
+    ("five-var", 30, 6, (1, 5, 10, 10, 5, 1)),
+])
+def test_hilbert_function_stops_at_the_first_vanished_symbol(name, truncation, vanished, counts, monkeypatch):
+    # both are certified at their order 2; g_t = 0 forces g_{t+1} = 0, so the
+    # counts past the first vanished symbol are 0 and no symbol is built there
+    from formalpde import spencer
+
+    sys = complete(parse(BENCH_TEXTS[name]).system).final_system
+    orders, symbol = [], spencer.symbol
+    monkeypatch.setattr(spencer, "symbol", lambda sys, order: orders.append(order) or symbol(sys, order))
+    assert hilbert_function(sys, truncation).coefficients == counts + (0,) * (truncation + 1 - len(counts))
+    assert max(orders) == vanished
+
+
 @pytest.mark.parametrize("name, truncation, counts", [
     ("example5_rprime", 4, (1, 3, 3, 1, 0)),
     ("example6_twisted", 6, (1, 3, 3, 3, 3, 3, 3)),

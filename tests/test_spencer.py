@@ -826,13 +826,33 @@ def test_frames_are_drawn_once_per_seed_in_a_process(tmp_path, capsys):
     assert spencer._frames.cache_info().misses == 8
 
 
+def test_flagship_analyze_ranks_no_frame(monkeypatch, tmp_path, capsys):
+    # the identity's ranks 1, 3, 4, 4 on the flagship's flag L_4, ..., L_1 are
+    # at their caps min(r, C_k): no random frame can outrank it, so none is
+    # ranked, and the report still counts all 25 frames tried
+    from formalpde import spencer
+    from formalpde.cli import main
+
+    path = tmp_path / "flagship.pde"
+    path.write_text(BENCH_TEXTS["flagship"], encoding="utf-8")
+    calls = []
+    flag_rank = spencer._flag_rank
+    monkeypatch.setattr(spencer, "_flag_rank", lambda *args: calls.append(args) or flag_rank(*args))
+    for seed in range(8):
+        assert main(["--seed", str(seed), "--report", "json", "analyze", str(path)]) == 0
+        assert '"frames_tried": 25' in capsys.readouterr().out, seed
+    assert calls == []
+
+
 def test_frame_search_builds_and_ranks_only_frames_that_can_win(monkeypatch, tmp_path, capsys):
     # involution on two-unknown at seed 0 tries all 25 random frames: a frame
     # becomes a CoordinateChange only when it beats the best tableau so far,
     # and its ranks are read from L_n down only until the comparison is
-    # decided, never on L_2 once it lost or tied for good at a higher level,
-    # and never on a level whose bounds decide its rank; a winner then
-    # finishes its walk
+    # decided or no level left is open (every target of the best at or below
+    # it at its cap min(r, C_k), where a frame can only tie or lose), never on
+    # L_2 once it lost or tied for good at a higher level, and never on a
+    # level whose bounds decide its rank; a frame with no open level starts no
+    # walk, and a winner finishes its walk
     from formalpde import pdesystem, spencer
     from formalpde.cli import main
 
@@ -847,10 +867,14 @@ def test_frame_search_builds_and_ranks_only_frames_that_can_win(monkeypatch, tmp
         cand = janet_tableau(sys, order, CoordinateChange(draw))
         if cand.beta[-1] == best.beta[-1] and cand.beta[::-1] <= best.beta[::-1]:
             ties.append(draw)  # discarded, and equal to the best on L_n
+        targets = {k: sum(best.beta[k - 1 :]) for k in range(1, n + 1)}
+        open_levels = [k for k in range(1, n + 1) if any(targets[j] < min(r, sizes[j]) for j in range(1, k + 1))]
+        if not open_levels:
+            continue  # no walk
         levels = []
-        for k in range(n, 1, -1):
-            target, rank_k = sum(best.beta[k - 1 :]), sum(cand.beta[k - 1 :])
-            if target == r:
+        for k in range(n, 0, -1):
+            target, rank_k = targets[k], sum(cand.beta[k - 1 :])
+            if k not in open_levels:
                 break
             levels.append(k)
             if rank_k != target:
@@ -864,7 +888,7 @@ def test_frame_search_builds_and_ranks_only_frames_that_can_win(monkeypatch, tmp
         ranks = {k: sum(cand.beta[k - 1 :]) for k in range(1, n + 2)}
         expected[draw] = [k for k in levels if max(ranks[k + 1], sizes[k] - d) < min(r, sizes[k])]
     assert 0 < len(winners) < len(draws) and is_involutive_symbol(sys).certificate.frames_tried == len(draws)
-    assert ties and any(expected[d] for d in draws)
+    assert ties and any(expected.values()) and 0 < len(expected) < len(draws)
 
     built, levels, current = [], {}, [None]
     init, flag_ranks, flag_rank = CoordinateChange.__init__, spencer._flag_ranks, spencer._flag_rank
